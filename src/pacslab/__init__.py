@@ -6,7 +6,6 @@ down-conversion).  Every closed-form expression has an independent
 brute-force oracle next to it, and the CLI emits reproducible curve data.
 """
 
-from .backend import backend_name
 from .downconversion import (
     ConditionalResult,
     DcParams,

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import downconversion as dc
 from . import fock, jaynes, pacs, specialfn
-from .backend import backend_name
 from .errors import ConfigError, EmptyBranchError, PacslabError
 
 SCENARIOS = ("jc-curve", "dc-overlap", "dc-pm", "dc-ideal-check", "verify")
@@ -339,6 +338,8 @@ def write_json(columns, rows, fingerprint: str) -> str:
         obj = {}
         for c in columns:
             v = row.get(c)
+            if isinstance(v, np.bool_):
+                v = bool(v)
             if isinstance(v, (np.floating,)):
                 v = float(v)
             if isinstance(v, (np.integer,)):
@@ -737,7 +738,7 @@ def run(cfg: RunConfig) -> int:
                 file=summary_stream,
             )
         print(
-            f"verify: checks={len(rows)} failed={len(failed)} backend={backend_name()}",
+            f"verify: checks={len(rows)} failed={len(failed)}",
             file=summary_stream,
         )
         status = 0 if not failed else 3

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from . import backend
 from .errors import TruncationError
 from .fock import (
     FockVector,
@@ -109,32 +108,84 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
         shifted[1:] = lift * col[:-1]
         col = (z / math.sqrt(n)) * shifted
         amp[:, n] = col
-    state = TwoModeState(amp)
-    deficit = abs(1.0 - state.norm_sq())
+    deficit = abs(1.0 - float(np.vdot(amp, amp).real))
     if deficit > norm_tol:
         raise TruncationError(
             f"dims ({p.dim_a}, {p.dim_b}) leave closed-form norm short of 1", deficit
         )
-    state.normalized = deficit <= 1e-12
-    return state
+    return TwoModeState(amp, normalized=deficit <= 1e-12)
+
+
+def _pair_chains(dim_a: int, dim_b: int, scale: float):
+    """Flat layout of the cells |d+k>_a |k>_b, d >= 0, chain after chain.
+
+    Chain d holds min(dim_a - d, dim_b) cells, padded to even length so that
+    cell k of every chain sits at a flat index of the parity of k.  Returns
+    per flat cell its chain d, its place k in the chain, whether it is a
+    grid cell rather than padding, and the hop scale * sqrt((d+k+1)(k+1))
+    to the next cell of its chain (zero at the end of a chain).
+    """
+    length = np.minimum(dim_a - np.arange(dim_a), dim_b)
+    padded = length + (length & 1)
+    chain = np.repeat(np.arange(dim_a), padded)
+    k = np.arange(padded.sum()) - np.repeat(np.cumsum(padded) - padded, padded)
+    cell_len = length[chain]
+    hop = scale * np.sqrt((chain + k + 1.0) * (k + 1.0))
+    hop[k + 1 >= cell_len] = 0.0
+    return chain, k, k < cell_len, hop
+
+
+def _chebyshev_chains(hop: np.ndarray, start: np.ndarray, coeff: np.ndarray):
+    """sum_k coeff[k] T_k(H) e_0 for the real tridiagonal chains H.
+
+    H has a zero diagonal and links flat cell i to i + 1 by hop[i], so it
+    only links even cells to odd ones: T_k(H) e_0 lives on the even cells
+    for even k and on the odd cells for odd k, and each half is stored
+    apart.  e_0 is the unit vector at every chain start (``start``, one flag
+    per even cell).  Returns the even-k sum on the even cells and the odd-k
+    sum on the odd cells.
+    """
+    t_even = start.astype(np.float64)
+    t_odd = hop[0::2] * t_even  # a chain start has no hop to its left
+    y_even = coeff[0] * t_even
+    y_odd = coeff[1] * t_odd
+    # odd cell j links even cells j (hop_even[j]) and j + 1 (hop_odd[j]);
+    # even cell j links odd cells j (hop_even[j]) and j - 1 (hop_odd[j - 1])
+    hop_even, hop_odd = 2.0 * hop[0::2], 2.0 * hop[1::2][:-1]
+    head, tail = np.s_[:-1], np.s_[1:]
+    scratch = np.empty_like(t_even)
+    for k in range(2, len(coeff)):
+        if k % 2:
+            new, src, acc, lo, hi = t_odd, t_even, y_odd, head, tail
+        else:
+            new, src, acc, lo, hi = t_even, t_odd, y_even, tail, head
+        # new <- 2 H src - new, i.e. T_k from T_{k-1} and T_{k-2}
+        np.multiply(hop_even, src, out=scratch)
+        np.subtract(scratch, new, out=new)
+        np.multiply(hop_odd, src[hi], out=scratch[lo])
+        new[lo] += scratch[lo]
+        np.multiply(coeff[k], new, out=scratch)
+        acc += scratch
+    return y_even, y_odd
 
 
 def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeState:
     """Brute-force evolution: exponential of the pair-coupling generator
     -i r (e^{i phi} adag bdag + e^{-i phi} a b) applied to |alpha>_a |0>_b.
 
-    The generator is two-banded in the number basis, so its action costs
-    O(dim_a dim_b); the exponential is expanded in Chebyshev polynomials
-    with Bessel-function coefficients over the spectral bound
-    2 r sqrt(dim_a dim_b).  Phases enter exactly as in the closed form.
+    The generator conserves n_a - n_b, so |d>_a |0>_b only reaches the
+    chain |d+k>_a |k>_b; gauging out the phase e^{i phi k} leaves a real
+    symmetric tridiagonal generator on each chain, applied in O(cells).
+    The exponential is expanded in Chebyshev polynomials with
+    Bessel-function coefficients over the spectral bound
+    2 r sqrt(dim_a dim_b); (-i)^k makes the even terms real and the odd
+    ones imaginary.  Phases enter exactly as in the closed form.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     seed = coherent_state(p.alpha, p.dim_a)
     if p.r == 0.0:
         return tensor_product(seed, fock_state(0, p.dim_b))
-    psi = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
-    psi[:, 0] = seed.amp
     bound = 2.0 * p.r * math.sqrt(p.dim_a * p.dim_b)
     k_hi = int(bound + 40 + 15 * bound ** (1.0 / 3.0))
     ks = np.arange(k_hi + 1)
@@ -142,15 +193,21 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
     thresh = max(5e-17, tol * 1e-2)
     keep = np.nonzero(np.abs(bes) > thresh)[0]
     k_last = max(2, int(keep[-1])) if keep.size else 2
-    coeff = ((-1j) ** ks[: k_last + 1]) * bes[: k_last + 1]
+    # (-i)^k is 1, -i, -1, i: the real factor for even k, the imaginary one
+    # for odd k
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[ks[: k_last + 1] % 4]
+    coeff = sign * bes[: k_last + 1]
     coeff[1:] *= 2.0
-    w = backend.pair_weights(p.dim_a, p.dim_b)
-    cu = p.r * np.exp(1j * p.phi) / bound
-    cd = p.r * np.exp(-1j * p.phi) / bound
-    out = backend.cheb_pair_evolve(psi, w, cu, cd, coeff)
-    state = TwoModeState(out)
-    state.normalized = abs(1.0 - state.norm_sq()) <= 1e-12
-    return state
+    chain, k, live, hop = _pair_chains(p.dim_a, p.dim_b, p.r / bound)
+    y_even, y_odd = _chebyshev_chains(hop, k[0::2] == 0, coeff)
+    y = np.empty(k.size, dtype=np.complex128)
+    y[0::2] = y_even
+    y[1::2] = 1j * y_odd
+    chain, k = chain[live], k[live]
+    amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
+    amp[chain + k, k] = seed.amp[chain] * np.exp(1j * p.phi * k) * y[live]
+    norm_sq = float(np.vdot(amp, amp).real)
+    return TwoModeState(amp, normalized=abs(1.0 - norm_sq) <= 1e-12)
 
 
 @dataclass(frozen=True)

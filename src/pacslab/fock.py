@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from . import backend
 from .errors import (
     DimensionMismatchError,
     EmptyBranchError,
@@ -50,7 +49,6 @@ class OperatorMatrix:
     """Dense matrix realization of a single-mode operator."""
 
     entries: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         self.entries = np.ascontiguousarray(self.entries, dtype=np.complex128)
@@ -66,7 +64,7 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T.copy(), hermitian=self.hermitian)
+        return OperatorMatrix(self.entries.conj().T.copy())
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
@@ -123,7 +121,7 @@ def creation_matrix(dim: int) -> OperatorMatrix:
 def number_matrix(dim: int) -> OperatorMatrix:
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return OperatorMatrix(np.diag(np.arange(dim, dtype=np.complex128)), hermitian=True)
+    return OperatorMatrix(np.diag(np.arange(dim, dtype=np.complex128)))
 
 
 def coherent_tail_mass(alpha: complex, dim: int) -> float:
@@ -200,15 +198,24 @@ def expm_apply(
     if tol <= 0:
         raise ValueError("tol must be positive")
     norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0))) if m.dim else 0.0
-    segments = backend.taylor_segments(norm_one)
-    out, converged = backend.expm_taylor(
-        m.entries, psi.amp, segments, tol / (2.0 * segments), max_terms
-    )
-    if not converged:
-        raise NumericalFailureError(
-            f"expm_apply: no convergence in {max_terms} terms per segment "
-            f"(segments={segments}, 1-norm={norm_one:.3e})"
-        )
+    segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
+    seg_tol = tol / (2.0 * segments)
+    out = psi.amp.copy()
+    for _ in range(segments):
+        acc = out.copy()
+        term = out.copy()
+        for k in range(1, max_terms + 1):
+            term = m.entries @ term
+            term /= k * segments
+            acc += term
+            if np.linalg.norm(term) <= seg_tol * np.linalg.norm(acc):
+                break
+        else:
+            raise NumericalFailureError(
+                f"expm_apply: no convergence in {max_terms} terms per segment "
+                f"(segments={segments}, 1-norm={norm_one:.3e})"
+            )
+        out = acc
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError("expm_apply produced non-finite amplitudes")
     return FockVector(out)

@@ -3,7 +3,7 @@ PASS/FAIL line (bypassing capture) so the gate is readable in any log.
 
 Criterion 3 documents a genuine defect: the verbatim closed-form overlap
 expression does not reproduce the brute-force normalized overlap it
-nominally describes (endpoints agree, interior disagrees by up to ~0.35).
+nominally describes (endpoints agree, interior disagrees by up to ~0.56).
 The expression is implemented verbatim and the check is left red rather
 than silently repaired; see the module docs and notes.
 """

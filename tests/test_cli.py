@@ -214,3 +214,13 @@ def test_verify_aggregation_contract(tmp_path, capsys):
     assert failed == {"overlap_closed_vs_oracle"}
     summary = capsys.readouterr().out
     assert "verify: checks=" in summary
+
+
+def test_verify_json_output(capsys):
+    rc = cli.main(["--scenario", "verify", "--format", "json"])
+    records = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert all(type(rec["passed"]) is bool for rec in records)
+    assert {rec["check"] for rec in records if not rec["passed"]} == {
+        "overlap_closed_vs_oracle"
+    }

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pacslab import downconversion as dc
 from pacslab import fock
@@ -70,6 +71,32 @@ def test_numeric_zero_interaction_exact():
         fock.coherent_state(0.8, p.dim_a), fock.fock_state(0, p.dim_b)
     )
     assert np.max(np.abs(state.amp - ref.amp)) == 0.0
+
+
+def dense_pair_evolution(p):
+    """exp(-i r (e^{i phi} adag bdag + h.c.)) |alpha>|0> by dense expm."""
+    adag = fock.creation_matrix(p.dim_a).entries
+    bdag = fock.creation_matrix(p.dim_b).entries
+    pair = np.exp(1j * p.phi) * np.kron(adag, bdag)
+    h = p.r * (pair + pair.conj().T)
+    seed = fock.tensor_product(
+        fock.coherent_state(p.alpha, p.dim_a), fock.fock_state(0, p.dim_b)
+    )
+    return (expm(-1j * h) @ seed.amp.reshape(-1)).reshape(p.dim_a, p.dim_b)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        dc.DcParams(0.5 + 0.4j, 0.7, math.pi / 5, 12, 10),
+        dc.DcParams(0.3 + 0.2j, 0.9, 1.1, 9, 12),  # chains shorter than dim_b
+        dc.DcParams(0.0, 0.8, 0.4, 1, 7),
+    ],
+    ids=["square", "dim_b_above_dim_a", "dim_a_one"],
+)
+def test_numeric_matches_dense_expm(p):
+    state = dc.dc_evolve_numeric(p)
+    assert np.max(np.abs(state.amp - dense_pair_evolution(p))) < 1e-13
 
 
 def test_numeric_matches_closed_at_default_dims():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pacslab import fock
 from pacslab.errors import (
@@ -122,6 +123,15 @@ def test_expm_apply_preserves_norm_for_anti_hermitian(theta):
     st = fock.coherent_state(0.7, dim, tail_tol=1e-8)
     out = fock.expm_apply(gen, st, tol=1e-12)
     assert out.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-10)
+
+
+def test_expm_apply_matches_scipy():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    v = rng.normal(size=10) + 1j * rng.normal(size=10)
+    got = fock.expm_apply(fock.OperatorMatrix(m), fock.FockVector(v), tol=1e-14)
+    ref = expm(m) @ v
+    assert np.max(np.abs(got.amp - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
 def test_expm_apply_non_convergence_raises():
