@@ -142,6 +142,13 @@ def test_expm_apply_non_convergence_raises():
         fock.expm_apply(m, st, tol=1e-14, max_terms=3)
 
 
+def test_expm_apply_reports_non_convergence():
+    m = fock.OperatorMatrix(np.eye(4, dtype=np.complex128) * 50.0)
+    v = fock.FockVector(np.ones(4, dtype=np.complex128))
+    with pytest.raises(NumericalFailureError, match="no convergence in 5 terms"):
+        fock.expm_apply(m, v, tol=1e-14, max_terms=5)
+
+
 def test_tensor_and_project_roundtrip():
     a = fock.coherent_state(0.8, 12, tail_tol=1e-6)
     b = fock.fock_state(0, 6)
