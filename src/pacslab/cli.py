@@ -2,7 +2,8 @@
 the cross-validation suite, serialized as reproducible CSV or JSON.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(including failed verification checks), 4 unwritable output.
+(including failed verification checks and non-finite records), 4
+unwritable output.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import downconversion as dc
 from . import fock, jaynes, pacs, specialfn
-from .errors import ConfigError, EmptyBranchError, PacslabError
+from .errors import ConfigError, EmptyBranchError, NumericalFailureError, PacslabError
 
 SCENARIOS = ("jc-curve", "dc-overlap", "dc-pm", "dc-ideal-check", "verify")
 FORMATS = ("csv", "json")
@@ -323,6 +324,20 @@ def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return format_number(value)
+
+
+def check_finite(columns, rows) -> None:
+    """Raise NumericalFailureError naming each column that holds NaN or inf."""
+    counts = {
+        c: sum(
+            isinstance(v, (float, np.floating)) and not math.isfinite(v)
+            for v in (row.get(c) for row in rows)
+        )
+        for c in columns
+    }
+    bad = [f"{c} ({n} of {len(rows)} rows)" for c, n in counts.items() if n]
+    if bad:
+        raise NumericalFailureError("non-finite records in " + ", ".join(bad))
 
 
 def write_csv(columns, rows) -> str:
@@ -710,6 +725,7 @@ _RUNNERS = {
 def run(cfg: RunConfig) -> int:
     """Execute the scenario, write records, print the one-line summary."""
     columns, rows, max_dev = _RUNNERS[cfg.scenario](cfg)
+    check_finite(columns, rows)
     if cfg.fmt == "csv":
         text = write_csv(columns, rows)
     else:

@@ -27,7 +27,7 @@ from .fock import (
     tensor_product,
 )
 from .pacs import PacsSpec, pacs_overlap, pacs_state
-from .specialfn import laguerre
+from .specialfn import LAGUERRE_M_MAX, laguerre_values
 
 DEFAULT_DIM_A = 48
 DEFAULT_DIM_B = 24
@@ -116,8 +116,9 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
     return TwoModeState(amp, normalized=deficit <= 1e-12)
 
 
-def _pair_chains(dim_a: int, dim_b: int, scale: float):
-    """Flat layout of the cells |d+k>_a |k>_b, d >= 0, chain after chain.
+def _pair_chains(n_chains: int, dim_a: int, dim_b: int, scale: float):
+    """Flat layout of the cells |d+k>_a |k>_b, 0 <= d < n_chains, chain
+    after chain.
 
     Chain d holds min(dim_a - d, dim_b) cells, padded to even length so that
     cell k of every chain sits at a flat index of the parity of k.  Returns
@@ -125,9 +126,9 @@ def _pair_chains(dim_a: int, dim_b: int, scale: float):
     grid cell rather than padding, and the hop scale * sqrt((d+k+1)(k+1))
     to the next cell of its chain (zero at the end of a chain).
     """
-    length = np.minimum(dim_a - np.arange(dim_a), dim_b)
+    length = np.minimum(dim_a - np.arange(n_chains), dim_b)
     padded = length + (length & 1)
-    chain = np.repeat(np.arange(dim_a), padded)
+    chain = np.repeat(np.arange(n_chains), padded)
     k = np.arange(padded.sum()) - np.repeat(np.cumsum(padded) - padded, padded)
     cell_len = length[chain]
     hop = scale * np.sqrt((chain + k + 1.0) * (k + 1.0))
@@ -180,6 +181,13 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
     Bessel-function coefficients over the spectral bound
     2 r sqrt(dim_a dim_b); (-i)^k makes the even terms real and the odd
     ones imaginary.  Phases enter exactly as in the closed form.
+
+    Only the chains the seed populates are propagated: chain d starts from
+    seed[d] times a unit vector, and the chain propagator is unitary, so
+    the chains d >= D with sum_{n >= D} |seed[n]|^2 <= thresh^2 are left at
+    zero, which moves the state by at most thresh in 2-norm.  thresh =
+    max(5e-17, tol 1e-2) is also the cut-off on the Bessel coefficients.
+    The kept cells come out exactly as if every chain were propagated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -198,7 +206,10 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
     sign = np.array([1.0, -1.0, -1.0, 1.0])[ks[: k_last + 1] % 4]
     coeff = sign * bes[: k_last + 1]
     coeff[1:] *= 2.0
-    chain, k, live, hop = _pair_chains(p.dim_a, p.dim_b, p.r / bound)
+    # seed weight of chains d..dim_a-1 is tail[dim_a-1-d]; tail never falls
+    tail = np.cumsum(np.abs(seed.amp[::-1]) ** 2)
+    n_chains = p.dim_a - int(np.count_nonzero(tail <= thresh**2))
+    chain, k, live, hop = _pair_chains(n_chains, p.dim_a, p.dim_b, p.r / bound)
     y_even, y_odd = _chebyshev_chains(hop, k[0::2] == 0, coeff)
     y = np.empty(k.size, dtype=np.complex128)
     y[0::2] = y_even
@@ -233,39 +244,54 @@ def conditional_mpacs(
     return ConditionalResult(state=vec, prob=prob, fidelity=fid)
 
 
+def _p_m_values(alpha: complex, r: float, m_max: int):
+    """p_m for m = 0..m_max from one Laguerre recurrence (see p_m)."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r == 0.0:
+        yield from (1.0 if m == 0 else 0.0 for m in range(m_max + 1))
+        return
+    th2 = math.tanh(r) ** 2
+    ch2 = math.cosh(r) ** 2
+    aa = abs(alpha) ** 2
+    pref = math.exp(-aa * th2) / ch2
+    for m, lag in enumerate(laguerre_values(m_max, -aa / ch2)):
+        yield pref * th2**m * lag
+
+
 def p_m(alpha: complex, r: float, m: int) -> float:
     """Closed-form probability of finding the b mode in |m>:
 
     e^{-|alpha|^2 tanh^2 r} / cosh^2 r * tanh^{2m} r * L_m(-|alpha|^2 / cosh^2 r).
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if r == 0.0:
-        return 1.0 if m == 0 else 0.0
-    th2 = math.tanh(r) ** 2
-    ch2 = math.cosh(r) ** 2
-    aa = abs(alpha) ** 2
-    return math.exp(-aa * th2) / ch2 * th2**m * laguerre(m, -aa / ch2)
+    for value in _p_m_values(alpha, r, m):
+        pass
+    return value
 
 
 def p_m_cumulative(alpha: complex, r: float, m_max: int) -> float:
     """Sum of p_m for m = 0..m_max."""
-    return sum(p_m(alpha, r, m) for m in range(m_max + 1))
+    return sum(_p_m_values(alpha, r, m_max))
 
 
 def required_dim_b(
-    alpha: complex, r: float, tail_target: float = DEFAULT_TAIL_TARGET, cap: int = 4096
+    alpha: complex, r: float, tail_target: float = DEFAULT_TAIL_TARGET
 ) -> int:
-    """Smallest idler truncation whose closed-form tail mass is below target."""
+    """Smallest idler truncation whose closed-form tail mass is below target.
+
+    The scan stops at the Laguerre order limit and raises TruncationError
+    beyond it.
+    """
     csum = 0.0
-    for m in range(cap):
-        csum += p_m(alpha, r, m)
+    for m, value in enumerate(_p_m_values(alpha, r, LAGUERRE_M_MAX)):
+        csum += value
         if 1.0 - csum <= tail_target:
             return m + 1
     raise TruncationError(
-        f"no idler truncation below {cap} reaches tail {tail_target}", 1.0 - csum
+        f"no idler truncation up to {LAGUERRE_M_MAX + 1} reaches tail {tail_target}",
+        1.0 - csum,
     )
 
 

@@ -46,25 +46,33 @@ def stirling2(n: int, k: int, n_max: int = STIRLING_N_MAX) -> int:
     return stirling_table(n_max)[n][k]
 
 
-def laguerre(m: int, x: float) -> float:
-    """Laguerre polynomial L_m(x) by the three-term recurrence.
+def laguerre_values(m_max: int, x: float):
+    """L_0(x), L_1(x), ..., L_{m_max}(x) from one three-term recurrence.
 
-    L_0 = 1, L_1 = 1 - x, (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.
+    L_0 = 1, k L_k = (2k-1-x) L_{k-1} - (k-1) L_{k-2} (so L_1 = 1 - x).
     For x < 0 every series term is positive, so the recurrence is
-    cancellation-free on the arguments used here.
+    cancellation-free on the arguments used here.  Raises
+    NumericalFailureError at the first order whose value leaves the double
+    range (a non-finite value stays non-finite at every higher order).
     """
-    if m < 0:
+    if m_max < 0:
         raise ValueError("order m must be nonnegative")
-    if m > LAGUERRE_M_MAX:
+    if m_max > LAGUERRE_M_MAX:
         raise ValueError(f"order m must not exceed {LAGUERRE_M_MAX}")
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - x
-    for k in range(1, m):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    if not math.isfinite(cur):
-        raise NumericalFailureError(f"laguerre({m}, {x}) left the double range")
-    return cur
+    prev, cur = 0.0, 1.0
+    yield cur
+    for k in range(1, m_max + 1):
+        prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+        if not math.isfinite(cur):
+            raise NumericalFailureError(f"laguerre({k}, {x}) left the double range")
+        yield cur
+
+
+def laguerre(m: int, x: float) -> float:
+    """Laguerre polynomial L_m(x), the last of ``laguerre_values(m, x)``."""
+    for value in laguerre_values(m, x):
+        pass
+    return value
 
 
 _LOG_FACT = (0.0, 0.0)

@@ -176,22 +176,25 @@ def test_exit_code_validation_error(capsys):
 
 
 def test_exit_code_numerical_failure(tmp_path):
-    # idler truncation forced far below what r = 2 needs
-    rc = cli.main(
-        [
-            "--scenario",
-            "dc-ideal-check",
-            "--r",
-            "2",
-            "--dim-a",
-            "48",
-            "--dim-b",
-            "24",
-            "--out",
-            str(tmp_path / "x.csv"),
-        ]
-    )
+    cases = [
+        # idler truncation forced far below what r = 2 needs
+        ["--scenario", "dc-ideal-check", "--r", "2", "--dim-a", "48", "--dim-b", "24"],
+        # automatic idler truncations beyond the Laguerre order limit
+        ["--scenario", "dc-pm", "--alpha", "0.8", "--r", "3"],
+        ["--scenario", "dc-ideal-check", "--alpha", "5", "--r", "3"],
+    ]
+    for args in cases:
+        assert cli.main(args + ["--out", str(tmp_path / "x.csv")]) == 3, args
+
+
+def test_non_finite_records_exit_3_without_output(tmp_path, capsys):
+    # exp(-|alpha|^2 / 2) underflows, so the normalized oracle states are 0/0
+    out = tmp_path / "overlap.csv"
+    with pytest.warns(RuntimeWarning):
+        rc = cli.main(["--scenario", "dc-overlap", "--alpha", "40", "--out", str(out)])
     assert rc == 3
+    assert not out.exists()
+    assert "non-finite records in overlap_sq_numeric" in capsys.readouterr().err
 
 
 def test_exit_code_unwritable_output():

@@ -8,6 +8,7 @@ from pacslab import downconversion as dc
 from pacslab import fock
 from pacslab.errors import EmptyBranchError, TruncationError
 from pacslab.pacs import PacsSpec, pacs_state
+from pacslab.specialfn import LAGUERRE_M_MAX, laguerre
 
 
 def two_mode_fidelity(x, y):
@@ -86,16 +87,36 @@ def dense_pair_evolution(p):
 
 
 @pytest.mark.parametrize(
-    "p",
+    "p, kept",
     [
-        dc.DcParams(0.5 + 0.4j, 0.7, math.pi / 5, 12, 10),
-        dc.DcParams(0.3 + 0.2j, 0.9, 1.1, 9, 12),  # chains shorter than dim_b
-        dc.DcParams(0.0, 0.8, 0.4, 1, 7),
+        (dc.DcParams(0.5 + 0.4j, 0.7, math.pi / 5, 12, 10), 12),
+        (dc.DcParams(0.3 + 0.2j, 0.9, 1.1, 9, 12), 9),  # chains shorter than dim_b
+        (dc.DcParams(0.0, 0.8, 0.4, 1, 7), 1),
+        # chains the seed leaves below 1e-30 in weight are skipped
+        (dc.DcParams(0.4 + 0.3j, 0.6, 0.9, 40, 12), 20),
+        (dc.DcParams(0.0, 0.8, 0.4, 30, 20), 1),
+        (dc.DcParams(1.2, 0.5, 2.0, 48, 16), 32),
     ],
-    ids=["square", "dim_b_above_dim_a", "dim_a_one"],
+    ids=[
+        "square",
+        "dim_b_above_dim_a",
+        "dim_a_one",
+        "half_chains_skipped",
+        "vacuum_seed_one_chain",
+        "dim_b_below_kept_chains",
+    ],
 )
-def test_numeric_matches_dense_expm(p):
+def test_numeric_matches_dense_expm(p, kept, monkeypatch):
+    laid_out = []
+    pair_chains = dc._pair_chains
+
+    def spy(n_chains, *args):
+        laid_out.append(n_chains)
+        return pair_chains(n_chains, *args)
+
+    monkeypatch.setattr(dc, "_pair_chains", spy)
     state = dc.dc_evolve_numeric(p)
+    assert laid_out == [kept]
     assert np.max(np.abs(state.amp - dense_pair_evolution(p))) < 1e-13
 
 
@@ -183,6 +204,39 @@ def test_p_m_matches_numeric_projection():
 
 def test_p_m_closure():
     assert dc.p_m_cumulative(0.8, 1.0, 60) == pytest.approx(1.0, abs=1e-10)
+
+
+def per_order_p_m(alpha, r, m):
+    """The closed form of p_m evaluated on its own for one m."""
+    if r == 0.0:
+        return 1.0 if m == 0 else 0.0
+    th2, ch2, aa = math.tanh(r) ** 2, math.cosh(r) ** 2, abs(alpha) ** 2
+    return math.exp(-aa * th2) / ch2 * th2**m * laguerre(m, -aa / ch2)
+
+
+@pytest.mark.parametrize(
+    "alpha, r", [(0.8, 0.0), (0.7 + 0.4j, 1.3), (0.8, 2.0), (1.5, 2.0), (0.3, 0.05)]
+)
+def test_single_pass_p_m_equals_per_order_loop(alpha, r):
+    terms = [per_order_p_m(alpha, r, m) for m in range(LAGUERRE_M_MAX + 1)]
+    for m in (0, 1, 7, 200, LAGUERRE_M_MAX):
+        assert dc.p_m(alpha, r, m) == terms[m]
+    for m_max in (0, 1, 60, 333, LAGUERRE_M_MAX):
+        assert dc.p_m_cumulative(alpha, r, m_max) == sum(terms[: m_max + 1])
+    csum = 0.0
+    for m, term in enumerate(terms):
+        csum += term
+        if 1.0 - csum <= 1e-9:
+            break
+    assert dc.required_dim_b(alpha, r, tail_target=1e-9) == m + 1
+
+
+def test_required_dim_b_stops_at_laguerre_limit():
+    # r = 3 needs an idler truncation beyond the Laguerre order limit
+    with pytest.raises(TruncationError):
+        dc.required_dim_b(0.8, 3.0)
+    with pytest.raises(ValueError):
+        dc.p_m_cumulative(0.8, 3.0, LAGUERRE_M_MAX + 1)
 
 
 def test_required_dim_b_meets_tail_target():

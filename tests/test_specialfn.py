@@ -84,6 +84,23 @@ def test_laguerre_generating_function():
     assert series == pytest.approx(math.exp(x * t / (t - 1)) / (1 - t), abs=1e-10)
 
 
+@pytest.mark.parametrize("x", [-377.9, -2.5, -0.64, 0.0, 0.3, 4.0, 60.0])
+def test_laguerre_values_match_per_order_recurrence(x):
+    # the recurrence as (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, restarted
+    # for every order, must give the single pass bit for bit
+    def per_order(m):
+        if m == 0:
+            return 1.0
+        prev, cur = 1.0, 1.0 - x
+        for k in range(1, m):
+            prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        return cur
+
+    values = list(specialfn.laguerre_values(300, x))
+    assert values == [per_order(m) for m in range(301)]
+    assert specialfn.laguerre(300, x) == values[-1]
+
+
 def test_laguerre_order_cap():
     with pytest.raises(ValueError):
         specialfn.laguerre(513, 0.1)
