@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks, jaynes
 from . import downconversion as dc
-from . import fock, jaynes, pacs, specialfn
 from .errors import ConfigError, EmptyBranchError, NumericalFailureError, PacslabError
 
 SCENARIOS = ("jc-curve", "dc-overlap", "dc-pm", "dc-ideal-check", "verify")
@@ -505,200 +505,7 @@ def run_dc_ideal(cfg: RunConfig):
     return columns, rows, max_dev
 
 
-# ---------------------------------------------------------------------------
-# verify scenario: the cross-validation suite
-# ---------------------------------------------------------------------------
-
-
-def _interior_rel_dev(lhs: np.ndarray, rhs: np.ndarray, interior: int) -> float:
-    block = np.s_[:interior, :interior]
-    diff = np.abs(lhs[block] - rhs[block])
-    scale = np.maximum(1.0, np.abs(rhs[block]))
-    return float(np.max(diff / scale))
-
-
-def verify_checks(tol: float):
-    """Run the cross-validation suite; yields (name, passed, measured, bound)."""
-    results = []
-
-    def check(name, measured, bound, larger_is_better=False):
-        ok = measured >= bound if larger_is_better else measured <= bound
-        results.append((name, bool(ok), float(measured), float(bound)))
-
-    dim = 32
-    annih = fock.annihilation_matrix(dim)
-    create = fock.creation_matrix(dim)
-    comm = annih.entries @ create.entries - create.entries @ annih.entries
-    check(
-        "ladder_commutator_interior",
-        float(np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1)))),
-        1e-12,
-    )
-
-    alpha = 0.8
-    coh = fock.coherent_state(alpha, dim)
-    theta = 0.7
-    gen = fock.OperatorMatrix(-1j * theta * fock.number_matrix(dim).entries)
-    rotated = fock.expm_apply(gen, coh, tol=1e-12)
-    target = fock.coherent_state(alpha * np.exp(-1j * theta), dim)
-    check("expm_phase_rotation", 1.0 - fock.fidelity(rotated, target), 1e-10)
-
-    back = fock.expm_apply(
-        fock.OperatorMatrix(-gen.entries), rotated, tol=1e-12
-    )
-    check(
-        "expm_inverse_pair",
-        float(np.max(np.abs(back.amp - coh.amp))),
-        1e-10,
-    )
-
-    dim24 = 24
-    a24 = fock.annihilation_matrix(dim24).entries
-    c24 = fock.creation_matrix(dim24).entries
-    num = c24 @ a24
-    worst = 0.0
-    for n in range(1, 9):
-        lhs = np.linalg.matrix_power(num, n)
-        rhs = np.zeros_like(lhs)
-        ck, ak = np.eye(dim24, dtype=complex), np.eye(dim24, dtype=complex)
-        for k in range(1, n + 1):
-            ck = ck @ c24
-            ak = a24 @ ak
-            rhs += specialfn.stirling2(n, k) * (ck @ ak)
-        worst = max(worst, _interior_rel_dev(lhs, rhs, dim24 - n))
-    check("normal_ordering_identity", worst, 1e-9)
-
-    worst = 0.0
-    for k in range(1, 7):
-        ck = np.linalg.matrix_power(c24, k)
-        ak = np.linalg.matrix_power(a24, k)
-        lhs = ck @ ak @ c24
-        rhs = k * (ck @ np.linalg.matrix_power(a24, k - 1)) + (ck @ c24) @ ak
-        worst = max(worst, _interior_rel_dev(lhs, rhs, dim24 - k - 1))
-    check("ladder_pushthrough_identity", worst, 1e-9)
-
-    t, x = 0.5, -0.3
-    series = sum(t**m * specialfn.laguerre(m, x) for m in range(201))
-    exact = math.exp(x * t / (t - 1)) / (1 - t)
-    check("laguerre_generating_function", abs(series - exact), 1e-10)
-
-    worst = 0.0
-    for a in (0.5, 0.8, 1.5):
-        for m in range(6):
-            spec = pacs.PacsSpec(a, m)
-            numeric = pacs.pacs_state(spec, 64).norm_sq()
-            closed = pacs.pacs_norm_sq(spec)
-            worst = max(worst, abs(numeric - closed) / closed)
-    check("pacs_norm_consistency", worst, 1e-9)
-
-    vecs = [pacs.pacs_state(pacs.PacsSpec(0.8, m), 48, normalized=True) for m in range(5)]
-    gram = np.array(
-        [[fock.inner_product(u, v) for v in vecs] for u in vecs]
-    )
-    eigs = np.linalg.eigvalsh(gram)
-    off = np.abs(gram[~np.eye(5, dtype=bool)])
-    gram_ok = eigs.min() > 1e-8 and np.all(off > 0) and np.all(off < 1)
-    results.append(("pacs_gram_independent", bool(gram_ok), float(eigs.min()), 1e-8))
-
-    mean, var = fock.number_moments(
-        pacs.pacs_state(pacs.PacsSpec(0.8, 1), 48, normalized=True)
-    )
-    results.append(("spacs_sub_poissonian", var < mean, var - mean, 0.0))
-
-    state = jaynes.jc_evolve_exact(jaynes.JcParams(0.8, 5.0))
-    check("jc_unitarity", abs(state.total_norm_sq() - 1.0), 1e-12)
-    results.append(
-        ("jc_ground_support", state.field_g.amp[0] == 0.0, abs(state.field_g.amp[0]), 0.0)
-    )
-
-    worst = 0.0
-    for bt in (0.1, 1.0, 5.0):
-        p = jaynes.JcParams(0.8, bt)
-        exact = jaynes.jc_evolve_exact(p)
-        series = jaynes.jc_evolve_series(p, 40)
-        worst = max(worst, 1.0 - jaynes.joint_fidelity(series, exact))
-    check("jc_series_vs_exact", worst, 1e-12)
-
-    pts = jaynes.jc_overlap_curve(0.8, [1e-3], [1, 2, 3])
-    mods = {p.m: p.overlap_modulus for p in pts}
-    anchors_ok = (
-        abs(mods[1] - 1.0) <= 1e-4
-        and abs(mods[2] - 0.73980) <= 1e-4
-        and abs(mods[3] - 0.39261) <= 1e-4
-        and mods[1] > mods[2] > mods[3]
-    )
-    results.append(
-        ("jc_overlap_anchors", bool(anchors_ok), float(abs(mods[2] - 0.73980)), 1e-4)
-    )
-
-    exp = jaynes.mpacs_expansion(jaynes.JcParams(0.8, 0.5), n_max=20)
-    check("mpacs_reconstruction", 1.0 - exp.best_fidelity, 1e-8)
-
-    worst = 0.0
-    grid = [(a, r, phi) for a in (0.5, 0.8) for r in (0.1, 0.5, 1.0) for phi in (0.0, math.pi / 3)]
-    grid.append((0.8, 2.0, 0.0))
-    for a, r, phi in grid:
-        da, db = dc.auto_dims(a, r)
-        params = dc.DcParams(a, r, phi, da, db)
-        closed = dc.dc_evolve_closed(params)
-        numeric = dc.dc_evolve_numeric(params, tol=tol)
-        ov = abs(np.vdot(closed.amp, numeric.amp)) ** 2
-        fid = ov / (closed.norm_sq() * numeric.norm_sq())
-        worst = max(worst, 1.0 - fid)
-    check("dc_factorization", worst, 1e-8)
-
-    worst = 0.0
-    for a in (0.5, 0.8, 1.5):
-        for r in (0.1, 1.0, 2.0):
-            da, db = dc.auto_dims(a, r)
-            params = dc.DcParams(a, r, 0.0, da, db)
-            state2 = dc.dc_evolve_closed(params)
-            for m in range(5):
-                res = dc.conditional_mpacs(state2, m, alpha_eff=params.alpha_eff())
-                worst = max(worst, 1.0 - res.fidelity)
-    check("dc_ideal_pacs", worst, 1e-10)
-
-    check("pm_closure", abs(dc.p_m_cumulative(0.8, 1.0, 60) - 1.0), 1e-10)
-
-    da, db = dc.auto_dims(0.8, 1.0)
-    numeric_state = dc.dc_evolve_numeric(dc.DcParams(0.8, 1.0, 0.0, da, db), tol=tol)
-    worst = 0.0
-    for m in range(7):
-        col = numeric_state.amp[:, m]
-        worst = max(worst, abs(dc.p_m(0.8, 1.0, m) - float(np.vdot(col, col).real)))
-    check("pm_vs_projection", worst, 1e-8)
-
-    worst = 0.0
-    for r in (0.1, 0.5, 1.0, 2.0):
-        worst = max(
-            worst,
-            abs(dc.spacs_overlap_closed(0.8, r) - dc.spacs_overlap_numeric(0.8, r)),
-        )
-    check("overlap_closed_vs_oracle", worst, 1e-8)
-
-    endpoints_ok = dc.spacs_overlap_closed(0.8, 0.0) == 1.0 and (
-        abs(dc.spacs_overlap_closed(0.8, 20.0) - dc.spacs_overlap_saturation(0.8)) <= 1e-6
-    )
-    results.append(
-        (
-            "overlap_endpoints",
-            bool(endpoints_ok),
-            abs(dc.spacs_overlap_closed(0.8, 20.0) - dc.spacs_overlap_saturation(0.8)),
-            1e-6,
-        )
-    )
-
-    seed = dc.seed_amplitude(0.8, 1.0)
-    da, db = dc.auto_dims(seed, 1.0)
-    params = dc.DcParams(seed, 1.0, 0.0, da, db)
-    res = dc.conditional_mpacs(dc.dc_evolve_closed(params), 1, alpha_eff=0.8)
-    check("seed_round_trip", 1.0 - res.fidelity, 1e-10)
-
-    return results
-
-
 def run_verify(cfg: RunConfig):
-    results = verify_checks(cfg.tol)
     columns = ["check", "passed", "measured", "tolerance", "provenance"]
     rows = [
         {
@@ -708,7 +515,7 @@ def run_verify(cfg: RunConfig):
             "tolerance": bound,
             "provenance": "both",
         }
-        for name, ok, measured, bound in results
+        for name, ok, measured, bound in checks.verify(cfg.tol)
     ]
     return columns, rows, None
 

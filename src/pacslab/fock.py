@@ -6,6 +6,7 @@ pure function of its inputs, so parameter sweeps can run concurrently.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,16 +141,25 @@ def coherent_state(
     """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
     Raises TruncationError when the analytic Poisson tail beyond the
-    truncation exceeds ``tail_tol``; the vector is flagged normalized only
-    when that tail is below 1e-12.
+    truncation exceeds ``tail_tol``, and NumericalFailureError when
+    e^{-|a|^2/2} underflows the normal double range (|a| above about
+    37.6): there it keeps too few digits for the norm and reaches 0 at
+    |a| of about 38.6.  The vector is flagged normalized only when the tail
+    is below 1e-12.
     """
     tail = coherent_tail_mass(alpha, dim)
     if tail > tail_tol:
         raise TruncationError(
             f"dim={dim} too small for coherent amplitude {alpha}", tail
         )
+    vacuum_amp = math.exp(-abs(alpha) ** 2 / 2.0)
+    if vacuum_amp < sys.float_info.min:
+        raise NumericalFailureError(
+            f"coherent amplitude {alpha}: exp(-|alpha|^2/2) = {vacuum_amp:.3g} "
+            "underflows the double range"
+        )
     amp = np.zeros(dim, dtype=np.complex128)
-    amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    amp[0] = vacuum_amp
     for n in range(1, dim):
         amp[n] = amp[n - 1] * alpha / math.sqrt(n)
     return FockVector(amp, normalized=tail <= NORMALIZED_ATOL)

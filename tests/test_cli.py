@@ -3,7 +3,7 @@ import json
 import pytest
 
 from pacslab import cli
-from pacslab.errors import ConfigError
+from pacslab.errors import ConfigError, NumericalFailureError
 
 
 def test_defaults_empty_args():
@@ -188,13 +188,23 @@ def test_exit_code_numerical_failure(tmp_path):
 
 
 def test_non_finite_records_exit_3_without_output(tmp_path, capsys):
-    # exp(-|alpha|^2 / 2) underflows, so the normalized oracle states are 0/0
+    # exp(-|alpha|^2 / 2) underflows, so the oracle's coherent state raises
     out = tmp_path / "overlap.csv"
-    with pytest.warns(RuntimeWarning):
-        rc = cli.main(["--scenario", "dc-overlap", "--alpha", "40", "--out", str(out)])
+    rc = cli.main(["--scenario", "dc-overlap", "--alpha", "40", "--out", str(out)])
     assert rc == 3
     assert not out.exists()
-    assert "non-finite records in overlap_sq_numeric" in capsys.readouterr().err
+    assert "exp(-|alpha|^2/2) = 0 underflows" in capsys.readouterr().err
+
+
+def test_check_finite_names_each_column():
+    rows = [
+        {"r": 0.0, "x": float("nan"), "y": 1.0, "tag": "both"},
+        {"r": 1.0, "x": 2.0, "y": float("inf"), "tag": "both"},
+    ]
+    with pytest.raises(NumericalFailureError) as exc:
+        cli.check_finite(["r", "x", "y", "tag"], rows)
+    assert str(exc.value) == "non-finite records in x (1 of 2 rows), y (1 of 2 rows)"
+    cli.check_finite(["r", "tag"], rows)
 
 
 def test_exit_code_unwritable_output():
@@ -204,12 +214,39 @@ def test_exit_code_unwritable_output():
     assert rc == 4
 
 
+VERIFY_CELLS = [
+    ("ladder_commutator_interior", "1.00000000000e-12"),
+    ("expm_phase_rotation", "1.00000000000e-10"),
+    ("expm_inverse_pair", "1.00000000000e-10"),
+    ("normal_ordering_identity", "1.00000000000e-09"),
+    ("ladder_pushthrough_identity", "1.00000000000e-09"),
+    ("laguerre_generating_function", "1.00000000000e-10"),
+    ("pacs_norm_consistency", "1.00000000000e-09"),
+    ("pacs_gram_independent", "1.00000000000e-08"),
+    ("spacs_sub_poissonian", "0"),
+    ("jc_unitarity", "1.00000000000e-12"),
+    ("jc_ground_support", "0"),
+    ("jc_series_vs_exact", "1.00000000000e-12"),
+    ("jc_overlap_anchors", "0.0001"),
+    ("mpacs_reconstruction", "1.00000000000e-08"),
+    ("dc_factorization", "1.00000000000e-08"),
+    ("dc_ideal_pacs", "1.00000000000e-10"),
+    ("pm_closure", "1.00000000000e-10"),
+    ("pm_vs_projection", "1.00000000000e-08"),
+    ("overlap_closed_vs_oracle", "1.00000000000e-08"),
+    ("overlap_endpoints", "1.00000000000e-06"),
+    ("seed_round_trip", "1.00000000000e-10"),
+]
+
+
 def test_verify_aggregation_contract(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     rc = cli.main(["--scenario", "verify", "--out", str(out)])
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "check,passed,measured,tolerance,provenance"
     rows = [line.split(",") for line in lines[1:]]
+    # a dropped, renamed, reordered or re-bounded check breaks the contract
+    assert [(row[0], row[3]) for row in rows] == VERIFY_CELLS
     failed = {row[0] for row in rows if row[1] == "false"}
     # exit 0 iff every check passed; the one documented closed-form/oracle
     # discrepancy keeps the suite red until the expression itself is fixed

@@ -5,15 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from pacslab import downconversion as dc
-from pacslab import fock
+from pacslab import checks, fock
 from pacslab.errors import EmptyBranchError, TruncationError
 from pacslab.pacs import PacsSpec, pacs_state
 from pacslab.specialfn import LAGUERRE_M_MAX, laguerre
-
-
-def two_mode_fidelity(x, y):
-    ov = abs(np.vdot(x.amp, y.amp)) ** 2
-    return ov / (x.norm_sq() * y.norm_sq())
 
 
 def test_su11_factors():
@@ -124,7 +119,7 @@ def test_numeric_matches_closed_at_default_dims():
     p = dc.DcParams(0.8, 0.5)
     closed = dc.dc_evolve_closed(p)
     numeric = dc.dc_evolve_numeric(p)
-    assert two_mode_fidelity(closed, numeric) >= 1 - 1e-8
+    assert checks.two_mode_fidelity(closed, numeric) >= 1 - 1e-8
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.8])
@@ -134,7 +129,7 @@ def test_numeric_matches_closed_with_phase(alpha, phi):
     p = dc.DcParams(alpha, 1.0, phi, da, db)
     closed = dc.dc_evolve_closed(p)
     numeric = dc.dc_evolve_numeric(p)
-    assert two_mode_fidelity(closed, numeric) >= 1 - 1e-8
+    assert checks.two_mode_fidelity(closed, numeric) >= 1 - 1e-8
 
 
 def test_numeric_vacuum_marginal_is_geometric():
@@ -309,7 +304,7 @@ def test_complex_seed_amplitude_supported():
     p = dc.DcParams(alpha, 0.7, math.pi / 5, da, db)
     closed = dc.dc_evolve_closed(p)
     numeric = dc.dc_evolve_numeric(p)
-    assert two_mode_fidelity(closed, numeric) >= 1 - 1e-8
+    assert checks.two_mode_fidelity(closed, numeric) >= 1 - 1e-8
     res = dc.conditional_mpacs(closed, 2, alpha_eff=p.alpha_eff())
     assert res.fidelity >= 1 - 1e-10
     col = numeric.amp[:, 2]

@@ -55,6 +55,16 @@ def test_coherent_state_truncation_error_carries_tail():
     assert exc.value.tail_mass > 1e-12
 
 
+def test_coherent_state_underflow_raises():
+    # exp(-|alpha|^2 / 2) is 0 at 40 and a subnormal with 10 digits at 38,
+    # where the norm of the vector flagged normalized is off by 9e-11
+    for alpha in (40.0, 38.0, 38.0j):
+        with pytest.raises(NumericalFailureError, match="underflows"):
+            fock.coherent_state(alpha, fock.default_dim(alpha))
+    st = fock.coherent_state(37.5, fock.default_dim(37.5))
+    assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_inner_product_examples():
     st = fock.coherent_state(0.8, 32)
     assert fock.inner_product(st, st).real == pytest.approx(st.norm_sq(), rel=1e-14)
