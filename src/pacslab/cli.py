@@ -2,16 +2,17 @@
 the cross-validation suite, serialized as reproducible CSV or JSON.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(including failed verification checks and non-finite records), 4
-unwritable output.
+(including failed verification checks, non-finite records and overflow of
+the double range), 4 unwritable output.
 """
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,21 +20,16 @@ from . import checks, jaynes
 from . import downconversion as dc
 from .errors import ConfigError, EmptyBranchError, NumericalFailureError, PacslabError
 
-SCENARIOS = ("jc-curve", "dc-overlap", "dc-pm", "dc-ideal-check", "verify")
+# per scenario: default (start, stop, count) grid and default m list
+_DEFAULTS = {
+    "jc-curve": ((0.0, 6.0, 121), (1, 2, 3)),
+    "dc-overlap": ((0.0, 2.0, 41), ()),
+    "dc-pm": ((1.0, 1.0, 1), tuple(range(11))),
+    "dc-ideal-check": ((0.0, 2.0, 9), (0, 1, 2, 3, 4)),
+    "verify": ((0.0, 0.0, 1), ()),
+}
+SCENARIOS = tuple(_DEFAULTS)
 FORMATS = ("csv", "json")
-
-_DEFAULT_GRIDS = {
-    "jc-curve": (0.0, 6.0, 121),
-    "dc-overlap": (0.0, 2.0, 41),
-    "dc-pm": (1.0, 1.0, 1),
-    "dc-ideal-check": (0.0, 2.0, 9),
-    "verify": (0.0, 0.0, 1),
-}
-_DEFAULT_M_LISTS = {
-    "jc-curve": (1, 2, 3),
-    "dc-pm": tuple(range(11)),
-    "dc-ideal-check": (0, 1, 2, 3, 4),
-}
 
 
 @dataclass(frozen=True)
@@ -70,22 +66,6 @@ class RunConfig:
 # parsing
 # ---------------------------------------------------------------------------
 
-_FILE_KEYS = (
-    "scenario",
-    "alpha",
-    "r",
-    "beta_t",
-    "beta",
-    "time",
-    "m_list",
-    "dim_a",
-    "dim_b",
-    "tol",
-    "out",
-    "format",
-)
-
-
 def _parse_complex(text: str):
     t = text.strip().replace(" ", "").replace("i", "j")
     try:
@@ -117,7 +97,7 @@ def _parse_m_list(text: str):
     return values if values else None
 
 
-def _read_config_file(path: str, errors: list) -> dict:
+def _read_config_file(path: str, keys, errors: list) -> dict:
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,7 +115,7 @@ def _read_config_file(path: str, errors: list) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _FILE_KEYS:
+        if key not in keys:
             errors.append(f"{path}:{lineno}: unknown key {key!r}")
             continue
         values[key] = val
@@ -147,28 +127,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pacslab",
         description="Photon-added coherent state laboratory: scenario runner",
     )
-    ap.add_argument("--scenario", choices=SCENARIOS, default=None)
-    ap.add_argument("--alpha", default=None, help="complex literal, e.g. 0.8+0.0i")
-    ap.add_argument("--r", default=None, help="squeeze grid start:stop:count or value")
-    ap.add_argument(
-        "--beta-t", default=None, help="dimensionless interaction grid (jc-curve)"
-    )
-    ap.add_argument("--beta", default=None, help="coupling in rad/s (with --time)")
-    ap.add_argument("--time", default=None, help="time grid in seconds (with --beta)")
-    ap.add_argument("--m-list", default=None, help="comma-separated orders")
-    ap.add_argument("--dim-a", default=None)
-    ap.add_argument("--dim-b", default=None)
-    ap.add_argument("--tol", default=None)
-    ap.add_argument("--config", default=None, help="flat key = value file")
-    ap.add_argument("--out", default=None, help="output path (default: stdout)")
-    ap.add_argument("--format", dest="fmt", choices=FORMATS, default=None)
+    ap.add_argument("--scenario", choices=SCENARIOS)
+    ap.add_argument("--alpha", help="complex literal, e.g. 0.8+0.0i")
+    ap.add_argument("--r", help="squeeze grid start:stop:count or value")
+    ap.add_argument("--beta-t", help="dimensionless interaction grid (jc-curve)")
+    ap.add_argument("--beta", help="coupling in rad/s (with --time)")
+    ap.add_argument("--time", help="time grid in seconds (with --beta)")
+    ap.add_argument("--m-list", help="comma-separated orders")
+    ap.add_argument("--dim-a")
+    ap.add_argument("--dim-b")
+    ap.add_argument("--tol")
+    ap.add_argument("--config", help="flat key = value file")
+    ap.add_argument("--out", help="output path (default: stdout)")
+    ap.add_argument("--format", choices=FORMATS)
     return ap
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve flags and optional config file; flags win on conflict.
 
-    Every invalid entry is collected and reported together.
+    The file's values become parser defaults, so every option is read the
+    same way from either source.  Every invalid entry is collected and
+    reported together.
     """
     ap = _build_parser()
     try:
@@ -176,48 +156,47 @@ def parse_config(argv) -> RunConfig:
     except SystemExit:
         raise ConfigError("invalid command line (see --help)")
     errors: list = []
-    fvals = _read_config_file(ns.config, errors) if ns.config else {}
+    if ns.config:
+        # argparse checks choices on flags only, so the checks below still
+        # see every file value
+        keys = set(vars(ns)) - {"config"}
+        ap.set_defaults(**_read_config_file(ns.config, keys, errors))
+        ns = ap.parse_args(argv)
 
-    def pick(flag_value, file_key):
-        return flag_value if flag_value is not None else fvals.get(file_key)
-
-    scenario = pick(ns.scenario, "scenario") or "verify"
+    scenario = ns.scenario or "verify"
     if scenario not in SCENARIOS:
         errors.append(f"unknown scenario {scenario!r} (choices: {', '.join(SCENARIOS)})")
         scenario = "verify"
+    grid, m_list = _DEFAULTS[scenario]
 
-    alpha_raw = pick(ns.alpha, "alpha")
     alpha = 0.8 + 0.0j
-    if alpha_raw is not None:
-        parsed = _parse_complex(str(alpha_raw))
+    if ns.alpha is not None:
+        parsed = _parse_complex(ns.alpha)
         if parsed is None:
-            errors.append(f"malformed alpha {alpha_raw!r}")
+            errors.append(f"malformed alpha {ns.alpha!r}")
+        elif not cmath.isfinite(parsed):
+            errors.append(f"alpha must be finite, got {ns.alpha!r}")
         else:
             alpha = parsed
 
-    r_raw = pick(ns.r, "r")
-    bt_raw = pick(ns.beta_t, "beta_t")
-    beta_raw = pick(ns.beta, "beta")
-    time_raw = pick(ns.time, "time")
-    grid = _DEFAULT_GRIDS[scenario]
     if scenario == "jc-curve":
-        if r_raw is not None:
+        if ns.r is not None:
             errors.append("jc-curve takes --beta-t (or --beta/--time), not --r")
-        if bt_raw is not None and (beta_raw is not None or time_raw is not None):
+        if ns.beta_t is not None and (ns.beta is not None or ns.time is not None):
             errors.append("give either --beta-t or the --beta/--time pair, not both")
-        if bt_raw is not None:
-            g = _parse_grid(str(bt_raw))
+        if ns.beta_t is not None:
+            g = _parse_grid(ns.beta_t)
             if g is None:
-                errors.append(f"malformed beta_t grid {bt_raw!r}")
+                errors.append(f"malformed beta_t grid {ns.beta_t!r}")
             else:
                 grid = g
-        elif beta_raw is not None or time_raw is not None:
-            if beta_raw is None or time_raw is None:
+        elif ns.beta is not None or ns.time is not None:
+            if ns.beta is None or ns.time is None:
                 errors.append("--beta and --time must be given together")
             else:
-                g = _parse_grid(str(time_raw))
+                g = _parse_grid(ns.time)
                 try:
-                    beta = float(str(beta_raw))
+                    beta = float(ns.beta)
                 except ValueError:
                     beta = None
                 if g is None or beta is None:
@@ -225,38 +204,38 @@ def parse_config(argv) -> RunConfig:
                 else:
                     grid = (beta * g[0], beta * g[1], g[2])
     else:
-        for name, raw in (("beta_t", bt_raw), ("beta", beta_raw), ("time", time_raw)):
+        for name, raw in (("beta_t", ns.beta_t), ("beta", ns.beta), ("time", ns.time)):
             if raw is not None:
                 errors.append(f"--{name.replace('_', '-')} only applies to jc-curve")
-        if r_raw is not None:
-            g = _parse_grid(str(r_raw))
+        if ns.r is not None:
+            g = _parse_grid(ns.r)
             if g is None:
-                errors.append(f"malformed r grid {r_raw!r}")
+                errors.append(f"malformed r grid {ns.r!r}")
             else:
                 grid = g
     start, stop, count = grid
     if count < 1:
         errors.append(f"grid count must be >= 1, got {count}")
-    if not (stop >= start >= 0):
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        errors.append(f"grid endpoints must be finite, got {start}:{stop}")
+    elif not stop >= start >= 0:
         errors.append(f"grid must satisfy stop >= start >= 0, got {start}:{stop}")
 
-    m_list = _DEFAULT_M_LISTS.get(scenario, ())
-    m_raw = pick(ns.m_list, "m_list")
-    if m_raw is not None:
-        parsed = _parse_m_list(str(m_raw))
+    if ns.m_list is not None:
+        parsed = _parse_m_list(ns.m_list)
         if parsed is None:
-            errors.append(f"malformed m list {m_raw!r}")
+            errors.append(f"malformed m list {ns.m_list!r}")
         elif any(m < 0 for m in parsed):
-            errors.append(f"m list entries must be nonnegative: {m_raw!r}")
+            errors.append(f"m list entries must be nonnegative: {ns.m_list!r}")
         else:
             m_list = parsed
 
     dims = {}
-    for key, raw in (("dim_a", pick(ns.dim_a, "dim_a")), ("dim_b", pick(ns.dim_b, "dim_b"))):
+    for key, raw in (("dim_a", ns.dim_a), ("dim_b", ns.dim_b)):
         dims[key] = None
         if raw is not None:
             try:
-                val = int(str(raw))
+                val = int(raw)
                 if val < 1:
                     raise ValueError
                 dims[key] = val
@@ -264,21 +243,18 @@ def parse_config(argv) -> RunConfig:
                 errors.append(f"malformed {key} {raw!r} (positive integer required)")
 
     tol = 1e-12
-    tol_raw = pick(ns.tol, "tol")
-    if tol_raw is not None:
+    if ns.tol is not None:
         try:
-            tol = float(str(tol_raw))
-            if tol <= 0:
+            tol = float(ns.tol)
+            if not 0 < tol < 1:
                 raise ValueError
         except ValueError:
-            errors.append(f"malformed tol {tol_raw!r} (positive real required)")
+            errors.append(f"malformed tol {ns.tol!r} (real in (0, 1) required)")
 
-    fmt = pick(ns.fmt, "format") or "csv"
+    fmt = ns.format or "csv"
     if fmt not in FORMATS:
         errors.append(f"unknown format {fmt!r} (choices: csv, json)")
         fmt = "csv"
-
-    out = ns.out if ns.out is not None else fvals.get("out")
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
@@ -290,7 +266,7 @@ def parse_config(argv) -> RunConfig:
         dim_a=dims["dim_a"],
         dim_b=dims["dim_b"],
         tol=tol,
-        out=out,
+        out=ns.out,
         fmt=fmt,
     )
 
@@ -353,50 +329,25 @@ def write_json(columns, rows, fingerprint: str) -> str:
         obj = {}
         for c in columns:
             v = row.get(c)
-            if isinstance(v, np.bool_):
-                v = bool(v)
-            if isinstance(v, (np.floating,)):
-                v = float(v)
-            if isinstance(v, (np.integer,)):
-                v = int(v)
-            obj[c] = v
+            obj[c] = v.item() if isinstance(v, np.generic) else v
         obj["config_fingerprint"] = fingerprint
         payload.append(obj)
     return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each runner returns (rows, max_dev), every row a dict whose keys
+# are the record columns in order
 # ---------------------------------------------------------------------------
 
 
 def run_jc_curve(cfg: RunConfig):
     grid = cfg.grid_values()
     points = jaynes.jc_overlap_curve(cfg.alpha, grid, cfg.m_list, dim=cfg.dim_a)
-    columns = ["beta_t", "m", "overlap_modulus", "overlap_sq", "ground_prob", "provenance"]
-    rows = [
-        {
-            "beta_t": p.beta_t,
-            "m": p.m,
-            "overlap_modulus": p.overlap_modulus,
-            "overlap_sq": p.overlap_sq,
-            "ground_prob": p.ground_prob,
-            "provenance": "closed_form",
-        }
-        for p in points
-    ]
-    return columns, rows, None
+    return [{**asdict(p), "provenance": "closed_form"} for p in points], None
 
 
 def run_dc_overlap(cfg: RunConfig):
-    columns = [
-        "r",
-        "overlap_sq_closed",
-        "overlap_sq_numeric",
-        "abs_deviation",
-        "saturation",
-        "provenance",
-    ]
     rows = []
     max_dev = 0.0
     sat = dc.spacs_overlap_saturation(cfg.alpha)
@@ -415,7 +366,7 @@ def run_dc_overlap(cfg: RunConfig):
                 "provenance": "both",
             }
         )
-    return columns, rows, max_dev
+    return rows, max_dev
 
 
 def _dc_dims(cfg: RunConfig, r: float) -> tuple[int, int]:
@@ -424,15 +375,6 @@ def _dc_dims(cfg: RunConfig, r: float) -> tuple[int, int]:
 
 
 def run_dc_pm(cfg: RunConfig):
-    columns = [
-        "r",
-        "m",
-        "p_m_closed",
-        "p_m_numeric",
-        "abs_deviation",
-        "p_sum_m60_closed",
-        "provenance",
-    ]
     rows = []
     max_dev = 0.0
     for r in cfg.grid_values():
@@ -464,19 +406,10 @@ def run_dc_pm(cfg: RunConfig):
                     "provenance": "both",
                 }
             )
-    return columns, rows, max_dev
+    return rows, max_dev
 
 
 def run_dc_ideal(cfg: RunConfig):
-    columns = [
-        "r",
-        "m",
-        "alpha_eff_re",
-        "alpha_eff_im",
-        "fidelity",
-        "prob",
-        "provenance",
-    ]
     rows = []
     max_dev = 0.0
     for r in cfg.grid_values():
@@ -488,25 +421,28 @@ def run_dc_ideal(cfg: RunConfig):
         for m in cfg.m_list:
             if m >= dim_b:
                 raise ConfigError(f"m={m} exceeds dim_b={dim_b}")
-            base = {
-                "r": r,
-                "m": m,
-                "alpha_eff_re": aeff.real,
-                "alpha_eff_im": aeff.imag,
-                "provenance": "both",
-            }
             try:
                 res = dc.conditional_mpacs(state, m, alpha_eff=aeff)
             except EmptyBranchError:
-                rows.append({**base, "fidelity": None, "prob": 0.0})
-                continue
-            max_dev = max(max_dev, 1.0 - res.fidelity)
-            rows.append({**base, "fidelity": res.fidelity, "prob": res.prob})
-    return columns, rows, max_dev
+                fidelity, prob = None, 0.0
+            else:
+                fidelity, prob = res.fidelity, res.prob
+                max_dev = max(max_dev, 1.0 - fidelity)
+            rows.append(
+                {
+                    "r": r,
+                    "m": m,
+                    "alpha_eff_re": aeff.real,
+                    "alpha_eff_im": aeff.imag,
+                    "fidelity": fidelity,
+                    "prob": prob,
+                    "provenance": "both",
+                }
+            )
+    return rows, max_dev
 
 
 def run_verify(cfg: RunConfig):
-    columns = ["check", "passed", "measured", "tolerance", "provenance"]
     rows = [
         {
             "check": name,
@@ -517,7 +453,7 @@ def run_verify(cfg: RunConfig):
         }
         for name, ok, measured, bound in checks.verify(cfg.tol)
     ]
-    return columns, rows, None
+    return rows, None
 
 
 _RUNNERS = {
@@ -531,7 +467,8 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute the scenario, write records, print the one-line summary."""
-    columns, rows, max_dev = _RUNNERS[cfg.scenario](cfg)
+    rows, max_dev = _RUNNERS[cfg.scenario](cfg)
+    columns = list(rows[0])
     check_finite(columns, rows)
     if cfg.fmt == "csv":
         text = write_csv(columns, rows)
@@ -587,6 +524,9 @@ def main(argv=None) -> int:
         return 2
     except PacslabError as exc:
         print(f"pacslab: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"pacslab: numerical failure: overflow ({exc})", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"pacslab: i/o error: {exc}", file=sys.stderr)

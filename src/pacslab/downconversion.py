@@ -113,7 +113,7 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
         raise TruncationError(
             f"dims ({p.dim_a}, {p.dim_b}) leave closed-form norm short of 1", deficit
         )
-    return TwoModeState(amp, normalized=deficit <= 1e-12)
+    return TwoModeState(amp)
 
 
 def _pair_chains(n_chains: int, dim_a: int, dim_b: int, scale: float):
@@ -217,8 +217,7 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
     chain, k = chain[live], k[live]
     amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
     amp[chain + k, k] = seed.amp[chain] * np.exp(1j * p.phi * k) * y[live]
-    norm_sq = float(np.vdot(amp, amp).real)
-    return TwoModeState(amp, normalized=abs(1.0 - norm_sq) <= 1e-12)
+    return TwoModeState(amp)
 
 
 @dataclass(frozen=True)

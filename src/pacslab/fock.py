@@ -19,7 +19,6 @@ from .errors import (
     TruncationError,
 )
 
-NORMALIZED_ATOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_EXPM_TOL = 1e-12
 EXPM_MAX_TERMS = 160
@@ -30,7 +29,6 @@ class FockVector:
     """Amplitudes of a single-mode state, amp[n] = <n|psi>."""
 
     amp: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.amp = np.ascontiguousarray(self.amp, dtype=np.complex128)
@@ -80,7 +78,6 @@ class TwoModeState:
     """Bipartite amplitudes, amp[n, m] = <n|_a <m|_b psi."""
 
     amp: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.amp = np.ascontiguousarray(self.amp, dtype=np.complex128)
@@ -144,8 +141,7 @@ def coherent_state(
     truncation exceeds ``tail_tol``, and NumericalFailureError when
     e^{-|a|^2/2} underflows the normal double range (|a| above about
     37.6): there it keeps too few digits for the norm and reaches 0 at
-    |a| of about 38.6.  The vector is flagged normalized only when the tail
-    is below 1e-12.
+    |a| of about 38.6.
     """
     tail = coherent_tail_mass(alpha, dim)
     if tail > tail_tol:
@@ -162,7 +158,7 @@ def coherent_state(
     amp[0] = vacuum_amp
     for n in range(1, dim):
         amp[n] = amp[n - 1] * alpha / math.sqrt(n)
-    return FockVector(amp, normalized=tail <= NORMALIZED_ATOL)
+    return FockVector(amp)
 
 
 def fock_state(n: int, dim: int) -> FockVector:
@@ -170,7 +166,7 @@ def fock_state(n: int, dim: int) -> FockVector:
         raise ValueError(f"fock index {n} outside dim {dim}")
     amp = np.zeros(dim, dtype=np.complex128)
     amp[n] = 1.0
-    return FockVector(amp, normalized=True)
+    return FockVector(amp)
 
 
 def inner_product(psi: FockVector, phi: FockVector) -> complex:
@@ -233,10 +229,7 @@ def expm_apply(
 
 def tensor_product(a: FockVector, b: FockVector) -> TwoModeState:
     """|a>_a |b>_b on the truncated bipartite grid."""
-    return TwoModeState(
-        np.outer(a.amp, b.amp),
-        normalized=a.normalized and b.normalized,
-    )
+    return TwoModeState(np.outer(a.amp, b.amp))
 
 
 def project_b(state: TwoModeState, m: int) -> tuple[FockVector, float]:
@@ -251,7 +244,7 @@ def project_b(state: TwoModeState, m: int) -> tuple[FockVector, float]:
     prob = float(np.vdot(col, col).real)
     if prob <= 0.0:
         raise EmptyBranchError(f"b-mode outcome {m} has zero probability")
-    return FockVector(col / math.sqrt(prob), normalized=True), prob
+    return FockVector(col / math.sqrt(prob)), prob
 
 
 def number_moments(psi: FockVector) -> tuple[float, float]:

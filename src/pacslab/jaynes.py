@@ -125,7 +125,7 @@ def jc_conditional_ground(s: JointAtomFieldState) -> tuple[FockVector, float]:
     prob = s.field_g.norm_sq()
     if prob <= 0.0:
         raise EmptyBranchError("lower-level branch has zero probability")
-    return FockVector(s.field_g.amp / math.sqrt(prob), normalized=True), prob
+    return FockVector(s.field_g.amp / math.sqrt(prob)), prob
 
 
 def _expansion_weight(n: int, m: int, alpha: complex, bracket: str) -> complex:
@@ -151,15 +151,13 @@ def expansion_coefficient(n: int, m: int, alpha: complex) -> complex:
 
 @dataclass(eq=False)
 class MpacsExpansion:
-    """Coefficient table plus the convention-resolved reconstruction."""
+    """Coefficient table plus the reconstruction fidelity of each convention."""
 
     table: np.ndarray
     fidelities: dict
     best_convention: str
     best_fidelity: float
-    reconstruction: FockVector
     oracle: FockVector
-    detection_prob: float
 
 
 def mpacs_expansion(
@@ -187,7 +185,7 @@ def mpacs_expansion(
         for m in range(1, m_max + 1):
             table[n, m] = expansion_coefficient(n, m, p.alpha)
 
-    oracle, prob = jc_conditional_ground(jc_evolve_exact(oracle_params))
+    oracle, _ = jc_conditional_ground(jc_evolve_exact(oracle_params))
     tau = -1j * p.beta_t
     # tau^{2n+1}/(2n+1)! prefactors, built incrementally
     prefs = np.zeros(n_max + 1, dtype=np.complex128)
@@ -204,7 +202,6 @@ def mpacs_expansion(
 
     fidelities = {}
     best = None
-    reconstructions = {}
     for bracket in BRACKET_VARIANTS:
         for basis in BASIS_VARIANTS:
             rec = np.zeros(dim, dtype=np.complex128)
@@ -219,7 +216,6 @@ def mpacs_expansion(
             vec = FockVector(rec)
             fid = abs(inner_product(oracle, vec)) ** 2 / vec.norm_sq()
             fidelities[name] = fid
-            reconstructions[name] = vec
             if best is None or fid > fidelities[best]:
                 best = name
 
@@ -228,9 +224,7 @@ def mpacs_expansion(
         fidelities=fidelities,
         best_convention=best,
         best_fidelity=fidelities[best],
-        reconstruction=reconstructions[best],
         oracle=oracle,
-        detection_prob=prob,
     )
 
 
@@ -275,7 +269,7 @@ def jc_overlap_curve(
             for m in m_list:
                 points.append(CurvePoint(bt, m, None, None, prob))
             continue
-        cond = FockVector(state.field_g.amp / math.sqrt(prob), normalized=True)
+        cond = FockVector(state.field_g.amp / math.sqrt(prob))
         for m in m_list:
             ov = abs(inner_product(targets[m], cond))
             points.append(CurvePoint(bt, m, ov, ov * ov, prob))

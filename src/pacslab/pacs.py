@@ -46,7 +46,8 @@ def pacs_state(
     tail check is enforced at dim - m rather than dim.
     """
     if dim <= spec.m:
-        raise ValueError(f"dim={dim} leaves no room for m={spec.m} additions")
+        # every amplitude would be lifted past the truncation
+        raise TruncationError(f"dim={dim} leaves no room for m={spec.m} additions", 1.0)
     tail = coherent_tail_mass(spec.alpha, dim - spec.m)
     if tail > tail_tol:
         raise TruncationError(
@@ -61,7 +62,7 @@ def pacs_state(
         amp = shifted
     vec = FockVector(amp)
     if normalized:
-        return FockVector(amp / math.sqrt(vec.norm_sq()), normalized=True)
+        return FockVector(amp / math.sqrt(vec.norm_sq()))
     return vec
 
 

@@ -168,23 +168,65 @@ def test_repeat_runs_are_byte_identical(tmp_path, args):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_exit_code_validation_error(capsys):
-    assert cli.main(["--scenario", "nope"]) == 2
-    assert cli.main(["--scenario", "dc-pm", "--r", "bad:grid"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err != ""
-
-
-def test_exit_code_numerical_failure(tmp_path):
+def test_exit_code_validation_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
     cases = [
-        # idler truncation forced far below what r = 2 needs
-        ["--scenario", "dc-ideal-check", "--r", "2", "--dim-a", "48", "--dim-b", "24"],
-        # automatic idler truncations beyond the Laguerre order limit
-        ["--scenario", "dc-pm", "--alpha", "0.8", "--r", "3"],
-        ["--scenario", "dc-ideal-check", "--alpha", "5", "--r", "3"],
+        ["--scenario", "nope"],
+        ["--scenario", "dc-pm", "--r", "bad:grid"],
+        # non-finite amplitudes, tolerances outside (0, 1), infinite grids
+        *(["--scenario", s, "--alpha", "nan"] for s in cli.SCENARIOS),
+        ["--scenario", "jc-curve", "--alpha", "nan+1i"],
+        ["--scenario", "dc-pm", "--alpha", "inf"],
+        ["--scenario", "dc-pm", "--alpha", "1e309"],
+        *(["--scenario", "dc-pm", "--tol", t] for t in ("inf", "nan", "100", "1")),
+        ["--scenario", "dc-pm", "--r", "0:inf:3"],
+        ["--scenario", "dc-overlap", "--r", "nan:1:3"],
+        ["--scenario", "jc-curve", "--beta-t", "0:inf:3"],
+        ["--scenario", "jc-curve", "--beta", "1e308", "--time", "0:1e10:3"],
     ]
     for args in cases:
-        assert cli.main(args + ["--out", str(tmp_path / "x.csv")]) == 3, args
+        assert cli.main(args + ["--out", str(out)]) == 2, args
+        err = capsys.readouterr().err
+        assert "pacslab: invalid" in err, args
+        assert not out.exists(), args
+
+
+def test_non_finite_inputs_named():
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(
+            ["--scenario", "dc-pm", "--alpha", "nan", "--r", "0:inf:3", "--tol", "inf"]
+        )
+    assert str(exc.value).splitlines()[1:] == [
+        "  alpha must be finite, got 'nan'",
+        "  grid endpoints must be finite, got 0.0:inf",
+        "  malformed tol 'inf' (real in (0, 1) required)",
+    ]
+
+
+def test_exit_code_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    cases = [
+        # idler truncation forced far below what r = 2 needs
+        (["--scenario", "dc-ideal-check", "--r", "2", "--dim-a", "48", "--dim-b", "24"],
+         "dims (48, 24) leave closed-form norm short of 1"),
+        # automatic idler truncations beyond the Laguerre order limit
+        (["--scenario", "dc-pm", "--alpha", "0.8", "--r", "3"], "no idler"),
+        (["--scenario", "dc-ideal-check", "--alpha", "5", "--r", "3"], "no idler"),
+        # photon-added targets that do not fit the cavity truncation
+        (["--scenario", "jc-curve", "--m-list", "1,70"], "dim=32 leaves no room for m=70"),
+        (["--scenario", "jc-curve", "--m-list", "1,32"], "dim=32 leaves no room for m=32"),
+        (["--scenario", "jc-curve", "--dim-a", "1"], "dim=1 leaves no room for m=1"),
+        (["--scenario", "dc-overlap", "--dim-a", "1"], "dim=1 leaves no room for m=1"),
+        # cosh r and |alpha|^2 beyond the double range
+        (["--scenario", "dc-overlap", "--r", "0:800:3"], "overflow"),
+        (["--scenario", "dc-pm", "--r", "1e308"], "overflow"),
+        (["--scenario", "dc-overlap", "--alpha", "1e200"], "overflow"),
+    ]
+    for args, reason in cases:
+        assert cli.main(args + ["--out", str(out)]) == 3, args
+        err = capsys.readouterr().err
+        assert err.startswith("pacslab: numerical failure:") and reason in err, args
+        assert not out.exists(), args
 
 
 def test_non_finite_records_exit_3_without_output(tmp_path, capsys):

@@ -40,13 +40,11 @@ def test_coherent_state_values():
     vac = fock.coherent_state(0.0, 8)
     assert vac.amp[0] == 1.0
     assert np.all(vac.amp[1:] == 0)
-    assert vac.normalized
 
     st = fock.coherent_state(0.8, 32)
     assert st.amp[0] == pytest.approx(math.exp(-0.32), abs=1e-12)
     assert st.amp[0] == pytest.approx(0.7261490, abs=1e-7)
     assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
-    assert st.normalized
 
 
 def test_coherent_state_truncation_error_carries_tail():
@@ -57,7 +55,7 @@ def test_coherent_state_truncation_error_carries_tail():
 
 def test_coherent_state_underflow_raises():
     # exp(-|alpha|^2 / 2) is 0 at 40 and a subnormal with 10 digits at 38,
-    # where the norm of the vector flagged normalized is off by 9e-11
+    # where the norm of the vector it would build is off by 9e-11
     for alpha in (40.0, 38.0, 38.0j):
         with pytest.raises(NumericalFailureError, match="underflows"):
             fock.coherent_state(alpha, fock.default_dim(alpha))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pacslab import fock
+from pacslab.checks import JC_ANCHORS, jc_anchor_moduli, jc_anchors_hold
 from pacslab.errors import EmptyBranchError
 from pacslab.jaynes import (
     JcParams,
@@ -134,6 +135,19 @@ def test_overlap_curve_anchors_and_ordering():
     assert mods[2] == pytest.approx(0.73980, abs=1e-4)
     assert mods[3] == pytest.approx(0.39261, abs=1e-4)
     assert mods[1] > mods[2] > mods[3]
+
+
+def test_jc_anchors_hold_rejects_moved_or_unordered_moduli():
+    assert jc_anchors_hold(jc_anchor_moduli(0.8, 1e-3), 1e-4)
+    assert jc_anchors_hold(dict(JC_ANCHORS), 1e-4)
+    for m in JC_ANCHORS:
+        for shift in (2e-4, -2e-4):
+            moved = {**JC_ANCHORS, m: JC_ANCHORS[m] + shift}
+            assert not jc_anchors_hold(moved, 1e-4), (m, shift)
+    # every modulus within the bound of its anchor, but not falling with m
+    for rising in ({1: 0.5, 2: 0.6, 3: 0.4}, {1: 1.0, 2: 0.5, 3: 0.6}):
+        assert all(abs(rising[m] - v) <= 0.5 for m, v in JC_ANCHORS.items())
+        assert not jc_anchors_hold(rising, 0.5), rising
 
 
 def test_overlap_curve_emits_null_markers():

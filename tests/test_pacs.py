@@ -39,7 +39,7 @@ def test_numeric_norm_matches_closed_form():
 def test_truncation_headroom_enforced():
     with pytest.raises(TruncationError):
         pacs_state(PacsSpec(1.5, 4), 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(TruncationError, match="no room for m=8"):
         pacs_state(PacsSpec(0.8, 8), 8)
 
 
