@@ -1,26 +1,135 @@
 """Cross-validation checks: each closed form measured against its oracle.
 
-Every measurement takes its grid as arguments and returns the measured value,
-a worst-case deviation or fidelity deficit over that grid.  ``verify`` runs
-the suite of ``pacslab --scenario verify`` on fixed grids; the release gate
-in ``tests/test_acceptance.py`` calls the same functions on its own grids.
+The ``*_rows`` functions pair a closed form with its oracle once, over a
+grid, and return the records of one CLI scenario as dicts whose keys are the
+columns in order.  Every measurement takes its grid as arguments and returns
+the measured value, a worst-case deviation or fidelity deficit over that
+grid; where a scenario exists, it reduces that scenario's rows.  ``verify``
+runs the suite of ``pacslab --scenario verify`` on fixed grids; the release
+gate in ``tests/test_acceptance.py`` calls the same functions on its own
+grids.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from . import downconversion as dc
 from . import fock, jaynes, pacs, specialfn
+from .errors import EmptyBranchError, TruncationError
 
 # cavity overlap moduli |<psi_g | alpha, m>| of alpha = 0.8 as beta_t -> 0+
 JC_ANCHORS = {1: 1.0, 2: 0.73980, 3: 0.39261}
+VERIFY_COLUMNS = ("check", "passed", "measured", "tolerance", "provenance")
+
+
+def worst_of(values) -> float:
+    """Largest of 0.0 and values: the worst deviation or deficit over a grid."""
+    return max([0.0, *values])
 
 
 def two_mode_fidelity(x: fock.TwoModeState, y: fock.TwoModeState) -> float:
     """Squared normalized overlap of two bipartite states."""
     ov = abs(np.vdot(x.amp, y.amp)) ** 2
     return ov / (x.norm_sq() * y.norm_sq())
+
+
+def curve_rows(alpha: complex, beta_ts, ms, dim=None) -> list:
+    """jc-curve: overlaps of the conditional cavity state with the
+    photon-added targets over beta_t (closed form only)."""
+    points = jaynes.jc_overlap_curve(alpha, beta_ts, ms, dim=dim)
+    return [{**asdict(p), "provenance": "closed_form"} for p in points]
+
+
+def overlap_rows(alpha: complex, rs, dim=None) -> list:
+    """dc-overlap: the closed-form overlap of the generated one-photon-added
+    state next to its brute-force oracle, over r."""
+    rows = []
+    sat = dc.spacs_overlap_saturation(alpha)
+    for r in rs:
+        closed = dc.spacs_overlap_closed(alpha, float(r))
+        numeric = dc.spacs_overlap_numeric(alpha, float(r), dim=dim)
+        rows.append(
+            {
+                "r": float(r),
+                "overlap_sq_closed": closed,
+                "overlap_sq_numeric": numeric,
+                "abs_deviation": abs(closed - numeric),
+                "saturation": sat,
+                "provenance": "both",
+            }
+        )
+    return rows
+
+
+def _pair_dims(alpha: complex, rs, ms, dim_a, dim_b) -> list:
+    """(r, dim_a, dim_b) per r, automatic unless forced; raises
+    TruncationError before any evolution when an m order does not fit."""
+    out = []
+    for r in rs:
+        r = float(r)
+        auto_a, auto_b = dc.auto_dims(alpha, r)
+        da, db = dim_a or auto_a, dim_b or auto_b
+        if ms and max(ms) >= db:
+            raise TruncationError(f"dim_b={db} leaves no room for m={max(ms)}", 1.0)
+        out.append((r, da, db))
+    return out
+
+
+def pm_rows(alpha: complex, rs, ms, tol: float, dim_a=None, dim_b=None) -> list:
+    """dc-pm: closed-form idler probabilities p_m next to the idler
+    projection of the Chebyshev-propagated pair state."""
+    rows = []
+    for r, da, db in _pair_dims(alpha, rs, ms, dim_a, dim_b):
+        state = dc.dc_evolve_numeric(dc.DcParams(alpha, r, 0.0, da, db), tol=tol)
+        psum = dc.p_m_cumulative(alpha, r, 60)
+        for m in ms:
+            closed = dc.p_m(alpha, r, m)
+            col = state.amp[:, m]
+            numeric = float(np.vdot(col, col).real)
+            rows.append(
+                {
+                    "r": r,
+                    "m": m,
+                    "p_m_closed": closed,
+                    "p_m_numeric": numeric,
+                    "abs_deviation": abs(closed - numeric),
+                    "p_sum_m60_closed": psum,
+                    "provenance": "both",
+                }
+            )
+    return rows
+
+
+def ideal_rows(alpha: complex, rs, ms, dim_a=None, dim_b=None) -> list:
+    """dc-ideal-check: fidelity of the signal conditioned on m idler photons
+    with the ideal m-photon-added state of amplitude alpha / cosh r; an
+    empty branch has fidelity None and prob 0."""
+    rows = []
+    for r, da, db in _pair_dims(alpha, rs, ms, dim_a, dim_b):
+        params = dc.DcParams(alpha, r, 0.0, da, db)
+        state = dc.dc_evolve_closed(params)
+        aeff = params.alpha_eff()
+        for m in ms:
+            try:
+                res = dc.conditional_mpacs(state, m, alpha_eff=aeff)
+            except EmptyBranchError:
+                fidelity, prob = None, 0.0
+            else:
+                fidelity, prob = res.fidelity, res.prob
+            rows.append(
+                {
+                    "r": r,
+                    "m": m,
+                    "alpha_eff_re": aeff.real,
+                    "alpha_eff_im": aeff.imag,
+                    "fidelity": fidelity,
+                    "prob": prob,
+                    "provenance": "both",
+                }
+            )
+    return rows
 
 
 def _interior_rel_dev(lhs: np.ndarray, rhs: np.ndarray, interior: int) -> float:
@@ -80,8 +189,8 @@ def series_vs_exact_deficit(alpha: complex, beta_ts, n_terms: int) -> float:
 
 def jc_anchor_moduli(alpha: complex, beta_t: float) -> dict:
     """Overlap moduli at beta_t for the orders of JC_ANCHORS, keyed by m."""
-    pts = jaynes.jc_overlap_curve(alpha, [beta_t], list(JC_ANCHORS))
-    return {p.m: p.overlap_modulus for p in pts}
+    rows = curve_rows(alpha, [beta_t], list(JC_ANCHORS))
+    return {row["m"]: row["overlap_modulus"] for row in rows}
 
 
 def jc_anchors_hold(mods: dict, bound: float) -> bool:
@@ -105,17 +214,13 @@ def factorization_deficit(points, tol: float) -> float:
 
 def ideal_pacs_deficit(alphas, rs, ms) -> float:
     """Worst 1 - fidelity of the signal conditioned on m idler photons
-    against the ideal m-photon-added state of amplitude alpha / cosh r."""
-    worst = 0.0
-    for alpha in alphas:
-        for r in rs:
-            da, db = dc.auto_dims(alpha, r)
-            params = dc.DcParams(alpha, r, 0.0, da, db)
-            state = dc.dc_evolve_closed(params)
-            for m in ms:
-                res = dc.conditional_mpacs(state, m, alpha_eff=params.alpha_eff())
-                worst = max(worst, 1.0 - res.fidelity)
-    return worst
+    against the ideal m-photon-added state of amplitude alpha / cosh r; an
+    empty branch counts as deficit 1."""
+    return worst_of(
+        1.0 if row["fidelity"] is None else 1.0 - row["fidelity"]
+        for alpha in alphas
+        for row in ideal_rows(alpha, rs, ms)
+    )
 
 
 def pm_closure_dev(alpha: complex, r: float, m_max: int) -> float:
@@ -125,32 +230,22 @@ def pm_closure_dev(alpha: complex, r: float, m_max: int) -> float:
 
 def pm_projection_dev(alpha: complex, r: float, ms, tol: float) -> float:
     """Worst |p_m - idler projection of the propagated state| over ms."""
-    da, db = dc.auto_dims(alpha, r)
-    state = dc.dc_evolve_numeric(dc.DcParams(alpha, r, 0.0, da, db), tol=tol)
-    worst = 0.0
-    for m in ms:
-        col = state.amp[:, m]
-        worst = max(worst, abs(dc.p_m(alpha, r, m) - float(np.vdot(col, col).real)))
-    return worst
+    return worst_of(row["abs_deviation"] for row in pm_rows(alpha, [r], ms, tol))
 
 
 def overlap_gap(alphas, rs) -> float:
     """Worst |closed-form overlap - brute-force overlap| (red by design)."""
-    worst = 0.0
-    for alpha in alphas:
-        for r in rs:
-            closed = dc.spacs_overlap_closed(alpha, r)
-            worst = max(worst, abs(closed - dc.spacs_overlap_numeric(alpha, r)))
-    return worst
+    return worst_of(
+        row["abs_deviation"] for alpha in alphas for row in overlap_rows(alpha, rs)
+    )
 
 
 def saturation_gap(alphas, r: float) -> float:
     """Worst |closed-form overlap at r - its r -> inf saturation|."""
-    worst = 0.0
-    for alpha in alphas:
-        closed = dc.spacs_overlap_closed(alpha, r)
-        worst = max(worst, abs(closed - dc.spacs_overlap_saturation(alpha)))
-    return worst
+    return worst_of(
+        abs(dc.spacs_overlap_closed(alpha, r) - dc.spacs_overlap_saturation(alpha))
+        for alpha in alphas
+    )
 
 
 def seed_round_trip_deficit(alpha_eff: complex, r: float) -> float:
@@ -163,14 +258,15 @@ def seed_round_trip_deficit(alpha_eff: complex, r: float) -> float:
     return 1.0 - res.fidelity
 
 
-def verify(tol: float):
-    """The suite of ``pacslab --scenario verify``, in its fixed order, as
-    (name, passed, measured, bound); ``tol`` goes to the pair propagator."""
+def verify(tol: float) -> list:
+    """The records of ``pacslab --scenario verify``, in its fixed order;
+    ``tol`` goes to the pair propagator."""
     results = []
 
     def check(name, measured, bound, passed=None):
         ok = measured <= bound if passed is None else passed
-        results.append((name, bool(ok), float(measured), float(bound)))
+        values = (name, bool(ok), float(measured), float(bound), "both")
+        results.append(dict(zip(VERIFY_COLUMNS, values)))
 
     dim = 32
     annih, create = _ladders(dim)

@@ -12,21 +12,21 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import checks, jaynes
-from . import downconversion as dc
-from .errors import ConfigError, EmptyBranchError, NumericalFailureError, PacslabError
+from . import checks
+from .errors import ConfigError, NumericalFailureError, PacslabError
 
-# per scenario: default (start, stop, count) grid and default m list
+# per scenario: default (start, stop, count) grid, default m list and the
+# options it reads besides scenario, config, out and format
 _DEFAULTS = {
-    "jc-curve": ((0.0, 6.0, 121), (1, 2, 3)),
-    "dc-overlap": ((0.0, 2.0, 41), ()),
-    "dc-pm": ((1.0, 1.0, 1), tuple(range(11))),
-    "dc-ideal-check": ((0.0, 2.0, 9), (0, 1, 2, 3, 4)),
-    "verify": ((0.0, 0.0, 1), ()),
+    "jc-curve": ((0.0, 6.0, 121), (1, 2, 3), "alpha beta_t beta time m_list dim_a"),
+    "dc-overlap": ((0.0, 2.0, 41), (), "alpha r dim_a"),
+    "dc-pm": ((1.0, 1.0, 1), tuple(range(11)), "alpha r m_list dim_a dim_b tol"),
+    "dc-ideal-check": ((0.0, 2.0, 9), (0, 1, 2, 3, 4), "alpha r m_list dim_a dim_b"),
+    "verify": ((0.0, 0.0, 1), (), "tol"),
 }
 SCENARIOS = tuple(_DEFAULTS)
 FORMATS = ("csv", "json")
@@ -167,7 +167,12 @@ def parse_config(argv) -> RunConfig:
     if scenario not in SCENARIOS:
         errors.append(f"unknown scenario {scenario!r} (choices: {', '.join(SCENARIOS)})")
         scenario = "verify"
-    grid, m_list = _DEFAULTS[scenario]
+    grid, m_list, reads = _DEFAULTS[scenario]
+    allowed = {"scenario", "config", "out", "format", *reads.split()}
+    for key, raw in vars(ns).items():
+        if raw is not None and key not in allowed:
+            errors.append(f"--{key.replace('_', '-')} does not apply to {scenario}")
+            setattr(ns, key, None)
 
     alpha = 0.8 + 0.0j
     if ns.alpha is not None:
@@ -179,40 +184,29 @@ def parse_config(argv) -> RunConfig:
         else:
             alpha = parsed
 
-    if scenario == "jc-curve":
-        if ns.r is not None:
-            errors.append("jc-curve takes --beta-t (or --beta/--time), not --r")
-        if ns.beta_t is not None and (ns.beta is not None or ns.time is not None):
-            errors.append("give either --beta-t or the --beta/--time pair, not both")
-        if ns.beta_t is not None:
-            g = _parse_grid(ns.beta_t)
-            if g is None:
-                errors.append(f"malformed beta_t grid {ns.beta_t!r}")
+    # only jc-curve reads beta_t, beta and time, and it never reads r
+    if ns.beta_t is not None and (ns.beta is not None or ns.time is not None):
+        errors.append("give either --beta-t or the --beta/--time pair, not both")
+    name, text = ("beta_t", ns.beta_t) if ns.beta_t is not None else ("r", ns.r)
+    if text is not None:
+        g = _parse_grid(text)
+        if g is None:
+            errors.append(f"malformed {name} grid {text!r}")
+        else:
+            grid = g
+    elif ns.beta is not None or ns.time is not None:
+        if ns.beta is None or ns.time is None:
+            errors.append("--beta and --time must be given together")
+        else:
+            g = _parse_grid(ns.time)
+            try:
+                beta = float(ns.beta)
+            except ValueError:
+                beta = None
+            if g is None or beta is None:
+                errors.append("malformed --beta/--time pair")
             else:
-                grid = g
-        elif ns.beta is not None or ns.time is not None:
-            if ns.beta is None or ns.time is None:
-                errors.append("--beta and --time must be given together")
-            else:
-                g = _parse_grid(ns.time)
-                try:
-                    beta = float(ns.beta)
-                except ValueError:
-                    beta = None
-                if g is None or beta is None:
-                    errors.append("malformed --beta/--time pair")
-                else:
-                    grid = (beta * g[0], beta * g[1], g[2])
-    else:
-        for name, raw in (("beta_t", ns.beta_t), ("beta", ns.beta), ("time", ns.time)):
-            if raw is not None:
-                errors.append(f"--{name.replace('_', '-')} only applies to jc-curve")
-        if ns.r is not None:
-            g = _parse_grid(ns.r)
-            if g is None:
-                errors.append(f"malformed r grid {ns.r!r}")
-            else:
-                grid = g
+                grid = (beta * g[0], beta * g[1], g[2])
     start, stop, count = grid
     if count < 1:
         errors.append(f"grid count must be >= 1, got {count}")
@@ -336,124 +330,35 @@ def write_json(columns, rows, fingerprint: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scenarios: each runner returns (rows, max_dev), every row a dict whose keys
-# are the record columns in order
+# scenarios: each runner returns (rows, max_dev); checks.py builds the rows,
+# every row a dict whose keys are the record columns in order
 # ---------------------------------------------------------------------------
 
 
 def run_jc_curve(cfg: RunConfig):
-    grid = cfg.grid_values()
-    points = jaynes.jc_overlap_curve(cfg.alpha, grid, cfg.m_list, dim=cfg.dim_a)
-    return [{**asdict(p), "provenance": "closed_form"} for p in points], None
+    return checks.curve_rows(cfg.alpha, cfg.grid_values(), cfg.m_list, cfg.dim_a), None
 
 
 def run_dc_overlap(cfg: RunConfig):
-    rows = []
-    max_dev = 0.0
-    sat = dc.spacs_overlap_saturation(cfg.alpha)
-    for r in cfg.grid_values():
-        closed = dc.spacs_overlap_closed(cfg.alpha, float(r))
-        numeric = dc.spacs_overlap_numeric(cfg.alpha, float(r), dim=cfg.dim_a)
-        dev = abs(closed - numeric)
-        max_dev = max(max_dev, dev)
-        rows.append(
-            {
-                "r": float(r),
-                "overlap_sq_closed": closed,
-                "overlap_sq_numeric": numeric,
-                "abs_deviation": dev,
-                "saturation": sat,
-                "provenance": "both",
-            }
-        )
-    return rows, max_dev
-
-
-def _dc_dims(cfg: RunConfig, r: float) -> tuple[int, int]:
-    auto_a, auto_b = dc.auto_dims(cfg.alpha, r)
-    return cfg.dim_a or auto_a, cfg.dim_b or auto_b
+    rows = checks.overlap_rows(cfg.alpha, cfg.grid_values(), cfg.dim_a)
+    return rows, checks.worst_of(row["abs_deviation"] for row in rows)
 
 
 def run_dc_pm(cfg: RunConfig):
-    rows = []
-    max_dev = 0.0
-    for r in cfg.grid_values():
-        r = float(r)
-        dim_a, dim_b = _dc_dims(cfg, r)
-        bad = [m for m in cfg.m_list if m >= dim_b]
-        if bad:
-            raise ConfigError(
-                f"m values {bad} exceed dim_b={dim_b}; raise --dim-b or drop them"
-            )
-        state = dc.dc_evolve_numeric(
-            dc.DcParams(cfg.alpha, r, 0.0, dim_a, dim_b), tol=cfg.tol
-        )
-        psum = dc.p_m_cumulative(cfg.alpha, r, 60)
-        for m in cfg.m_list:
-            closed = dc.p_m(cfg.alpha, r, m)
-            col = state.amp[:, m]
-            numeric = float(np.vdot(col, col).real)
-            dev = abs(closed - numeric)
-            max_dev = max(max_dev, dev)
-            rows.append(
-                {
-                    "r": r,
-                    "m": m,
-                    "p_m_closed": closed,
-                    "p_m_numeric": numeric,
-                    "abs_deviation": dev,
-                    "p_sum_m60_closed": psum,
-                    "provenance": "both",
-                }
-            )
-    return rows, max_dev
+    rows = checks.pm_rows(
+        cfg.alpha, cfg.grid_values(), cfg.m_list, cfg.tol, cfg.dim_a, cfg.dim_b
+    )
+    return rows, checks.worst_of(row["abs_deviation"] for row in rows)
 
 
 def run_dc_ideal(cfg: RunConfig):
-    rows = []
-    max_dev = 0.0
-    for r in cfg.grid_values():
-        r = float(r)
-        dim_a, dim_b = _dc_dims(cfg, r)
-        params = dc.DcParams(cfg.alpha, r, 0.0, dim_a, dim_b)
-        state = dc.dc_evolve_closed(params)
-        aeff = params.alpha_eff()
-        for m in cfg.m_list:
-            if m >= dim_b:
-                raise ConfigError(f"m={m} exceeds dim_b={dim_b}")
-            try:
-                res = dc.conditional_mpacs(state, m, alpha_eff=aeff)
-            except EmptyBranchError:
-                fidelity, prob = None, 0.0
-            else:
-                fidelity, prob = res.fidelity, res.prob
-                max_dev = max(max_dev, 1.0 - fidelity)
-            rows.append(
-                {
-                    "r": r,
-                    "m": m,
-                    "alpha_eff_re": aeff.real,
-                    "alpha_eff_im": aeff.imag,
-                    "fidelity": fidelity,
-                    "prob": prob,
-                    "provenance": "both",
-                }
-            )
-    return rows, max_dev
+    rows = checks.ideal_rows(cfg.alpha, cfg.grid_values(), cfg.m_list, cfg.dim_a, cfg.dim_b)
+    deficits = (1.0 - row["fidelity"] for row in rows if row["fidelity"] is not None)
+    return rows, checks.worst_of(deficits)
 
 
 def run_verify(cfg: RunConfig):
-    rows = [
-        {
-            "check": name,
-            "passed": ok,
-            "measured": measured,
-            "tolerance": bound,
-            "provenance": "both",
-        }
-        for name, ok, measured, bound in checks.verify(cfg.tol)
-    ]
-    return rows, None
+    return checks.verify(cfg.tol), None
 
 
 _RUNNERS = {
@@ -519,9 +424,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except ConfigError as exc:
-        print(f"pacslab: {exc}", file=sys.stderr)
-        return 2
     except PacslabError as exc:
         print(f"pacslab: numerical failure: {exc}", file=sys.stderr)
         return 3

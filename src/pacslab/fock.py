@@ -65,13 +65,6 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.entries.conj().T.copy())
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"operator dims differ: {self.dim} vs {other.dim}"
-            )
-        return OperatorMatrix(self.entries @ other.entries)
-
 
 @dataclass(eq=False)
 class TwoModeState:

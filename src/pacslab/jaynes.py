@@ -140,15 +140,6 @@ def _expansion_weight(n: int, m: int, alpha: complex, bracket: str) -> complex:
     return alpha ** (m - 1) * inner
 
 
-def expansion_coefficient(n: int, m: int, alpha: complex) -> complex:
-    """Coefficient B(n, m, alpha) of the photon-added re-expansion, verbatim:
-
-    alpha^{m-1} [m S(n,m) + S(n,m-1) m! alpha] sqrt(m! L_m(-|alpha|^2)).
-    """
-    norm = math.sqrt(pacs_norm_sq(PacsSpec(alpha, m)))
-    return _expansion_weight(n, m, alpha, "with_factorial") * norm
-
-
 @dataclass(eq=False)
 class MpacsExpansion:
     """Coefficient table plus the reconstruction fidelity of each convention."""
@@ -165,8 +156,11 @@ def mpacs_expansion(
 ) -> MpacsExpansion:
     """Re-expand the conditional cavity state over photon-added states.
 
-    ``table[n, m]`` holds the verbatim coefficient B(n, m, alpha).  Because
-    the verbatim formula both carries the photon-added norm factor
+    ``table[n, m]`` holds the verbatim coefficient
+
+        B(n, m, alpha) = alpha^{m-1} [m S(n,m) + S(n,m-1) m! alpha] sqrt(m! L_m(-|alpha|^2)).
+
+    Because the verbatim formula both carries the photon-added norm factor
     sqrt(m! L_m) and an m! alpha inside the bracket, the reconstruction is
     evaluated under all four combinations of bracket variant
     ("with_factorial" keeps the m! alpha, "plain" drops it) and basis state
@@ -180,10 +174,13 @@ def mpacs_expansion(
     # the highest-order basis state needs m_max levels of headroom
     dim = p.dim if p.dim is not None else default_dim(p.alpha) + m_max
     oracle_params = JcParams(p.alpha, p.beta_t, dim)
+    norms = [None] + [
+        math.sqrt(pacs_norm_sq(PacsSpec(p.alpha, m))) for m in range(1, m_max + 1)
+    ]
     table = np.zeros((n_max + 1, m_max + 1), dtype=np.complex128)
     for n in range(n_max + 1):
         for m in range(1, m_max + 1):
-            table[n, m] = expansion_coefficient(n, m, p.alpha)
+            table[n, m] = _expansion_weight(n, m, p.alpha, "with_factorial") * norms[m]
 
     oracle, _ = jc_conditional_ground(jc_evolve_exact(oracle_params))
     tau = -1j * p.beta_t
@@ -195,9 +192,6 @@ def mpacs_expansion(
 
     kets_raw = [None] + [
         pacs_state(PacsSpec(p.alpha, m), dim).amp for m in range(1, m_max + 1)
-    ]
-    norms = [None] + [
-        math.sqrt(pacs_norm_sq(PacsSpec(p.alpha, m))) for m in range(1, m_max + 1)
     ]
 
     fidelities = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,8 @@ def test_repeat_runs_are_byte_identical(tmp_path, args):
 
 def test_exit_code_validation_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
+    conf = tmp_path / "overlap.cfg"
+    conf.write_text("scenario = dc-overlap\ntol = 0.5\n", encoding="utf-8")
     cases = [
         ["--scenario", "nope"],
         ["--scenario", "dc-pm", "--r", "bad:grid"],
@@ -183,6 +186,13 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["--scenario", "dc-overlap", "--r", "nan:1:3"],
         ["--scenario", "jc-curve", "--beta-t", "0:inf:3"],
         ["--scenario", "jc-curve", "--beta", "1e308", "--time", "0:1e10:3"],
+        # options the scenario does not read, from a flag or from the file
+        ["--scenario", "dc-overlap", "--r", "0:1:3", "--m-list", "5", "--dim-b", "3",
+         "--tol", "0.5"],
+        ["--scenario", "verify", "--alpha", "3", "--r", "1"],
+        ["--scenario", "jc-curve", "--dim-b", "2", "--tol", "0.5"],
+        ["--scenario", "dc-ideal-check", "--tol", "0.1"],
+        ["--config", str(conf)],
     ]
     for args in cases:
         assert cli.main(args + ["--out", str(out)]) == 2, args
@@ -217,6 +227,11 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         (["--scenario", "jc-curve", "--m-list", "1,32"], "dim=32 leaves no room for m=32"),
         (["--scenario", "jc-curve", "--dim-a", "1"], "dim=1 leaves no room for m=1"),
         (["--scenario", "dc-overlap", "--dim-a", "1"], "dim=1 leaves no room for m=1"),
+        # m orders beyond the idler truncation, caught before any evolution
+        (["--scenario", "dc-pm", "--dim-b", "5", "--m-list", "0,7"],
+         "dim_b=5 leaves no room for m=7"),
+        (["--scenario", "dc-ideal-check", "--dim-b", "5", "--m-list", "0,7"],
+         "dim_b=5 leaves no room for m=7"),
         # cosh r and |alpha|^2 beyond the double range
         (["--scenario", "dc-overlap", "--r", "0:800:3"], "overflow"),
         (["--scenario", "dc-pm", "--r", "1e308"], "overflow"),
@@ -247,6 +262,41 @@ def test_check_finite_names_each_column():
         cli.check_finite(["r", "x", "y", "tag"], rows)
     assert str(exc.value) == "non-finite records in x (1 of 2 rows), y (1 of 2 rows)"
     cli.check_finite(["r", "tag"], rows)
+
+
+def test_unread_options_named():
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(["--scenario", "verify", "--alpha", "3", "--r", "1", "--tol", "1e-10"])
+    assert str(exc.value).splitlines()[1:] == [
+        "  --alpha does not apply to verify",
+        "  --r does not apply to verify",
+    ]
+
+
+# sha256 of the records of every scenario at its defaults; a change that moves
+# a record byte on purpose updates the digest and says which column moved
+DEFAULT_RECORD_DIGESTS = {
+    ("jc-curve", "csv"): "3c01dd296b4c4b539a2b8c669ae5a583c6ffee3f7b7ccccdb6595e0aea2033c6",
+    ("jc-curve", "json"): "81eabf79b9743e983a4ce89630cf781473b5d2915dbc6d6d436af98ae8a350ab",
+    ("dc-overlap", "csv"): "f4c8828b4f4c185b9ef066632a1d7fb5a51be203bda92185239e223313684d99",
+    ("dc-overlap", "json"): "f5efd27c326f8508fbad8089273a9d30d157426cd94e635d4b8da2873e519ad1",
+    ("dc-pm", "csv"): "e5400de3fb054533989de13a2480456c3a8349aed6b78c89ef02e9c6d88bb1b3",
+    ("dc-pm", "json"): "302913c317f8f8bed9fa4a6401cd3e9bcda2ce7e3ce44c9c6e2b3c0532858119",
+    ("dc-ideal-check", "csv"): "36237c0a535c377c78536d42020ae38b154a02f4da38a738c683ddc59cbc990c",
+    ("dc-ideal-check", "json"): "3ca486a400dcab254e1e4039c6642edc676ae30e2e7868edbf78041a15fa9c23",
+    ("verify", "csv"): "347ae745fbc133f6765c656db6642b4c9ef92e85c2a45614eb613bef29ef2a55",
+    ("verify", "json"): "c2d9b2bc8a57721ba8a05c56ab70cbbfd784cc36fc1aee8b73ba15f91ec18d6f",
+}
+
+
+def test_default_records_pinned(tmp_path):
+    digests = {}
+    for scenario in cli.SCENARIOS:
+        for fmt in cli.FORMATS:
+            out = tmp_path / f"{scenario}.{fmt}"
+            cli.main(["--scenario", scenario, "--format", fmt, "--out", str(out)])
+            digests[scenario, fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == DEFAULT_RECORD_DIGESTS
 
 
 def test_exit_code_unwritable_output():

@@ -177,6 +177,14 @@ def test_conditional_empty_branch():
         dc.conditional_mpacs(dc.dc_evolve_closed(p), 1)
 
 
+def test_ideal_pacs_deficit_counts_empty_branch_as_one():
+    # at r = 0 no idler photon is made: the m = 1 record is empty and the
+    # check fails its bound instead of raising
+    rows = checks.ideal_rows(0.8, [0.0], [1])
+    assert (rows[0]["fidelity"], rows[0]["prob"]) == (None, 0.0)
+    assert checks.ideal_pacs_deficit((0.8,), (0.0,), (1,)) == 1.0
+
+
 def test_p_m_zero_interaction():
     assert dc.p_m(0.8, 0.0, 0) == 1.0
     assert dc.p_m(0.8, 0.0, 3) == 0.0
