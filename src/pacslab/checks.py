@@ -25,7 +25,14 @@ VERIFY_COLUMNS = ("check", "passed", "measured", "tolerance", "provenance")
 
 
 def worst_of(values) -> float:
-    """Largest of 0.0 and values: the worst deviation or deficit over a grid."""
+    """Largest of 0.0 and values: the worst deviation or deficit over a grid.
+
+    NaN if any value is NaN, so that a broken measurement fails its bound
+    (max() would drop a NaN after the first value).
+    """
+    values = [float(v) for v in values]
+    if any(math.isnan(v) for v in values):
+        return math.nan
     return max([0.0, *values])
 
 
@@ -148,8 +155,8 @@ def normal_ordering_dev(dim: int, n_max: int) -> float:
     block the truncation leaves exact."""
     a, c = _ladders(dim)
     num = c @ a
-    worst = 0.0
-    for n in range(1, n_max + 1):
+
+    def dev(n):
         lhs = np.linalg.matrix_power(num, n)
         rhs = np.zeros_like(lhs)
         ck, ak = np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)
@@ -157,34 +164,35 @@ def normal_ordering_dev(dim: int, n_max: int) -> float:
             ck = ck @ c
             ak = a @ ak
             rhs += specialfn.stirling2(n, k) * (ck @ ak)
-        worst = max(worst, _interior_rel_dev(lhs, rhs, dim - n))
-    return worst
+        return _interior_rel_dev(lhs, rhs, dim - n)
+
+    return worst_of(dev(n) for n in range(1, n_max + 1))
 
 
 def pushthrough_dev(dim: int, k_max: int) -> float:
     """adag^k a^k adag against k adag^k a^(k-1) + adag^(k+1) a^k for
     k = 1..k_max, on the block the truncation leaves exact."""
     a, c = _ladders(dim)
-    worst = 0.0
-    for k in range(1, k_max + 1):
+
+    def dev(k):
         ck = np.linalg.matrix_power(c, k)
         ak = np.linalg.matrix_power(a, k)
         lhs = ck @ ak @ c
         rhs = k * (ck @ np.linalg.matrix_power(a, k - 1)) + (ck @ c) @ ak
-        worst = max(worst, _interior_rel_dev(lhs, rhs, dim - k - 1))
-    return worst
+        return _interior_rel_dev(lhs, rhs, dim - k - 1)
+
+    return worst_of(dev(k) for k in range(1, k_max + 1))
 
 
 def series_vs_exact_deficit(alpha: complex, beta_ts, n_terms: int) -> float:
     """Worst 1 - fidelity of the n_terms cavity series against the exact
     evolution."""
-    worst = 0.0
-    for bt in beta_ts:
-        p = jaynes.JcParams(alpha, bt)
+
+    def deficit(p):
         series = jaynes.jc_evolve_series(p, n_terms)
-        exact = jaynes.jc_evolve_exact(p)
-        worst = max(worst, 1.0 - jaynes.joint_fidelity(series, exact))
-    return worst
+        return 1.0 - jaynes.joint_fidelity(series, jaynes.jc_evolve_exact(p))
+
+    return worst_of(deficit(jaynes.JcParams(alpha, bt)) for bt in beta_ts)
 
 
 def jc_anchor_moduli(alpha: complex, beta_t: float) -> dict:
@@ -202,14 +210,13 @@ def jc_anchors_hold(mods: dict, bound: float) -> bool:
 def factorization_deficit(points, tol: float) -> float:
     """Worst 1 - fidelity of the closed-form pair evolution against the
     Chebyshev propagator over (alpha, r, phi) points, at automatic dims."""
-    worst = 0.0
-    for alpha, r, phi in points:
-        da, db = dc.auto_dims(alpha, r)
-        params = dc.DcParams(alpha, r, phi, da, db)
+
+    def deficit(alpha, r, phi):
+        params = dc.DcParams(alpha, r, phi, *dc.auto_dims(alpha, r))
         closed = dc.dc_evolve_closed(params)
-        numeric = dc.dc_evolve_numeric(params, tol=tol)
-        worst = max(worst, 1.0 - two_mode_fidelity(closed, numeric))
-    return worst
+        return 1.0 - two_mode_fidelity(closed, dc.dc_evolve_numeric(params, tol=tol))
+
+    return worst_of(deficit(*point) for point in points)
 
 
 def ideal_pacs_deficit(alphas, rs, ms) -> float:
@@ -295,14 +302,13 @@ def verify(tol: float) -> list:
     exact = math.exp(x * t / (t - 1)) / (1 - t)
     check("laguerre_generating_function", abs(series - exact), 1e-10)
 
-    worst = 0.0
-    for a in (0.5, 0.8, 1.5):
-        for m in range(6):
-            spec = pacs.PacsSpec(a, m)
-            closed = pacs.pacs_norm_sq(spec)
-            numeric = pacs.pacs_state(spec, 64).norm_sq()
-            worst = max(worst, abs(numeric - closed) / closed)
-    check("pacs_norm_consistency", worst, 1e-9)
+    specs = [pacs.PacsSpec(a, m) for a in (0.5, 0.8, 1.5) for m in range(6)]
+    norms = [(pacs.pacs_state(s, 64).norm_sq(), pacs.pacs_norm_sq(s)) for s in specs]
+    check(
+        "pacs_norm_consistency",
+        worst_of(abs(numeric - closed) / closed for numeric, closed in norms),
+        1e-9,
+    )
 
     vecs = [pacs.pacs_state(pacs.PacsSpec(0.8, m), 48, normalized=True) for m in range(5)]
     gram = np.array([[fock.inner_product(u, v) for v in vecs] for u in vecs])

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import TruncationError
 from .fock import (
@@ -27,7 +26,7 @@ from .fock import (
     tensor_product,
 )
 from .pacs import PacsSpec, pacs_overlap, pacs_state
-from .specialfn import LAGUERRE_M_MAX, laguerre_values
+from .specialfn import LAGUERRE_M_MAX, bessel_j_values, laguerre_values
 
 DEFAULT_DIM_A = 48
 DEFAULT_DIM_B = 24
@@ -196,14 +195,13 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
         return tensor_product(seed, fock_state(0, p.dim_b))
     bound = 2.0 * p.r * math.sqrt(p.dim_a * p.dim_b)
     k_hi = int(bound + 40 + 15 * bound ** (1.0 / 3.0))
-    ks = np.arange(k_hi + 1)
-    bes = jv(ks, bound)
+    bes = np.array(bessel_j_values(k_hi, bound))
     thresh = max(5e-17, tol * 1e-2)
     keep = np.nonzero(np.abs(bes) > thresh)[0]
     k_last = max(2, int(keep[-1])) if keep.size else 2
     # (-i)^k is 1, -i, -1, i: the real factor for even k, the imaginary one
     # for odd k
-    sign = np.array([1.0, -1.0, -1.0, 1.0])[ks[: k_last + 1] % 4]
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(k_last + 1) % 4]
     coeff = sign * bes[: k_last + 1]
     coeff[1:] *= 2.0
     # seed weight of chains d..dim_a-1 is tail[dim_a-1-d]; tail never falls

@@ -10,7 +10,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import (
     DimensionMismatchError,
@@ -18,6 +17,7 @@ from .errors import (
     NumericalFailureError,
     TruncationError,
 )
+from .specialfn import poisson_tail
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_EXPM_TOL = 1e-12
@@ -122,7 +122,7 @@ def coherent_tail_mass(alpha: complex, dim: int) -> float:
     mu = abs(alpha) ** 2
     if mu == 0.0:
         return 0.0
-    return float(gammainc(dim, mu))
+    return poisson_tail(dim, mu)
 
 
 def coherent_state(

@@ -1,8 +1,11 @@
-"""Exact combinatorics and polynomial evaluations used by the closed forms.
+"""Exact combinatorics and special functions, in the standard library only.
 
 Stirling numbers of the second kind are kept as exact Python integers (no
 floating point in the table); Laguerre polynomials use the stable three-term
-recurrence; log-factorials come from a cached cumulative sum.
+recurrence; log-factorials come from a cached cumulative sum.  Bessel
+functions J_0..J_n come from one Miller backward recurrence (the Chebyshev
+coefficients of the pair propagator), and the Poisson tail P(N >= dim) from
+a saddle-point-scaled series (the coherent-state truncation check).
 """
 
 import math
@@ -95,3 +98,99 @@ def log_factorial(n: int) -> float:
         table = tuple(ext)
         _LOG_FACT = table
     return table[n]
+
+
+def bessel_j_values(n_max: int, x: float) -> list:
+    """[J_0(x), ..., J_{n_max}(x)] for x >= 0 from one Miller backward
+    recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} is run down from an even order
+    max(n_max, x) + 20 + 15 max(n_max, x)^(1/3), far enough into the
+    region where J decays that the dominant solution swamps the start, and
+    normalised by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967);
+    Abramowitz & Stegun 9.12).  The values are rescaled by 1e-250 whenever
+    they grow past 1e250; orders that then underflow are truly below the
+    double range.  2k/x is rounded afresh at every step, so no systematic
+    error in 2/x drifts the phase at large x.  For x <= 1e-8 the leading
+    term of the power series is exact to double precision and is used
+    instead.
+    """
+    if n_max < 0:
+        raise ValueError("order n_max must be nonnegative")
+    if not (0.0 <= x < math.inf):
+        raise ValueError("x must be finite and nonnegative")
+    if x <= 1e-8:
+        # J_n = (x/2)^n / n! * (1 - (x/2)^2 / (n+1) + ...), and the
+        # correction is below half an ulp; the recurrence's growth 2k/x per
+        # step could overflow between two rescalings here
+        vals = [1.0]
+        for k in range(1, n_max + 1):
+            vals.append(vals[-1] * (0.5 * x) / k)
+        return vals
+    top = max(n_max, x)
+    start = int(top + 20 + 15 * top ** (1.0 / 3.0))
+    start += start % 2
+    vals = [0.0] * (start + 1)
+    nxt, cur = 0.0, 1e-300
+    for k in range(start, 0, -1):
+        vals[k] = cur
+        nxt, cur = cur, 2.0 * k / x * cur - nxt
+        if abs(cur) > 1e250:
+            vals[k:] = [v * 1e-250 for v in vals[k:]]
+            nxt *= 1e-250
+            cur *= 1e-250
+    vals[0] = cur
+    norm = math.fsum([cur, *(2.0 * v for v in vals[2::2])])
+    return [v / norm for v in vals[: n_max + 1]]
+
+
+def _log_poisson_pmf(n: int, mu: float) -> float:
+    """ln(e^{-mu} mu^n / n!) for mu > 0.
+
+    From n = 50 on, in the saddle-point form
+    n ln(mu/n) - (mu - n) - ln sqrt(2 pi n) - stirling(n), whose error is a
+    few ulps of |mu - n|; the plain n ln mu - mu - lgamma(n + 1) loses
+    about 1e-12 to the rounding of its ~7000-sized terms at n ~ 1000.
+    """
+    if n < 50:
+        return n * math.log(mu) - mu - math.lgamma(n + 1)
+    d = mu - n
+    log_ratio = math.log1p(d / n) if abs(d) < 0.5 * n else math.log(mu / n)
+    inv = 1.0 / n
+    inv2 = inv * inv
+    # lgamma(n + 1) - (n + 1/2) ln n + n - ln sqrt(2 pi), to 4e-19 at n >= 50
+    stirling = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    return n * log_ratio - d - 0.5 * math.log(2.0 * math.pi * n) - stirling
+
+
+def poisson_tail(dim: int, mu: float) -> float:
+    """P(N >= dim) for N ~ Poisson(mu), dim >= 1.
+
+    For dim > mu, the series
+    e^{-mu} mu^dim / dim! * sum_k mu^k / ((dim+1)...(dim+k)), whose terms
+    fall at least as fast as mu / (dim+1); for dim <= mu, where the tail is
+    at least about 1/2, the complement of the head sum
+    e^{-mu} mu^(dim-1) / (dim-1)! * sum_k (dim-1)...(dim-k) / mu^k,
+    clamped at 0.  A NaN mu gives NaN.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if mu == 0.0:
+        return 0.0
+    if mu == math.inf:
+        return 1.0
+    term, total = 1.0, 1.0
+    if dim > mu:
+        k = dim
+        while term > 1e-17 * total:
+            k += 1
+            term *= mu / k
+            total += term
+        return math.exp(_log_poisson_pmf(dim, mu)) * total
+    k = dim - 1
+    while k > 0 and term > 1e-17 * total:
+        term *= k / mu
+        k -= 1
+        total += term
+    head = math.exp(_log_poisson_pmf(dim - 1, mu)) * total
+    return 0.0 if head > 1.0 else 1.0 - head

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,12 +284,12 @@ DEFAULT_RECORD_DIGESTS = {
     ("jc-curve", "json"): "81eabf79b9743e983a4ce89630cf781473b5d2915dbc6d6d436af98ae8a350ab",
     ("dc-overlap", "csv"): "f4c8828b4f4c185b9ef066632a1d7fb5a51be203bda92185239e223313684d99",
     ("dc-overlap", "json"): "f5efd27c326f8508fbad8089273a9d30d157426cd94e635d4b8da2873e519ad1",
-    ("dc-pm", "csv"): "e5400de3fb054533989de13a2480456c3a8349aed6b78c89ef02e9c6d88bb1b3",
-    ("dc-pm", "json"): "302913c317f8f8bed9fa4a6401cd3e9bcda2ce7e3ce44c9c6e2b3c0532858119",
+    ("dc-pm", "csv"): "59b7e3b51fa20202acb4bad988318da775fa3e052f272e4df9c1bd20c2dfc4ee",
+    ("dc-pm", "json"): "b9706bbf41d89edab79ecc80d9a98798fa2f43efb67574670300b6de74581d79",
     ("dc-ideal-check", "csv"): "36237c0a535c377c78536d42020ae38b154a02f4da38a738c683ddc59cbc990c",
     ("dc-ideal-check", "json"): "3ca486a400dcab254e1e4039c6642edc676ae30e2e7868edbf78041a15fa9c23",
-    ("verify", "csv"): "347ae745fbc133f6765c656db6642b4c9ef92e85c2a45614eb613bef29ef2a55",
-    ("verify", "json"): "c2d9b2bc8a57721ba8a05c56ab70cbbfd784cc36fc1aee8b73ba15f91ec18d6f",
+    ("verify", "csv"): "fad22d7e65ca9eed2099f14f33acb5ce5e45c884bd494c19e6c392ae53139e1e",
+    ("verify", "json"): "bfdf31fc1a0aac5d078187521835a48d3758a1a286e412e12bae690f329f5d84",
 }
 
 
@@ -356,3 +360,17 @@ def test_verify_json_output(capsys):
     assert {rec["check"] for rec in records if not rec["passed"]} == {
         "overlap_closed_vs_oracle"
     }
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it costs about half of a CLI call
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, pacslab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

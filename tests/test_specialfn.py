@@ -1,7 +1,8 @@
 import math
 
+import mpmath
 import pytest
-from scipy.special import eval_laguerre
+from scipy.special import eval_laguerre, gammainc, jv
 
 from pacslab import specialfn
 from pacslab.errors import NumericalFailureError
@@ -117,3 +118,86 @@ def test_log_factorial():
     for n in range(1, 31):
         product += math.log(n)
         assert specialfn.log_factorial(n) == pytest.approx(product, rel=1e-14)
+
+
+# Chebyshev bounds 2 r sqrt(dim_a dim_b) of the pair propagator: dc-pm's
+# default (0.8, 1) at 72 x 47, criterion 02's (0.8, 2) at 383 x 361 and
+# (1.5, 2) at 483 x 459, and one beyond
+BESSEL_XS = [
+    1e-3, 0.3, 7.5, 116.34431657799189, 1487.3493200993505, 1883.3884357720794, 1900.0
+]
+
+
+@pytest.mark.parametrize("x", BESSEL_XS)
+def test_bessel_against_mpmath(x):
+    k_hi = int(x + 40 + 15 * x ** (1.0 / 3.0))  # as dc_evolve_numeric sizes it
+    values = specialfn.bessel_j_values(k_hi, x)
+    assert len(values) == k_hi + 1
+    orders = sorted({*range(0, k_hi + 1, max(1, k_hi // 24)), int(x), int(x) + 1, k_hi})
+    with mpmath.workdps(40):
+        for n in orders:
+            exact = float(mpmath.besselj(n, x))
+            assert abs(values[n] - exact) <= 1e-15, n
+            # scipy's jv drifts by up to ~2.4e-14 at x ~ 1900
+            assert abs(values[n] - float(jv(n, x))) <= 5e-14, n
+
+
+def test_bessel_small_and_degenerate_arguments():
+    assert specialfn.bessel_j_values(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
+    assert specialfn.bessel_j_values(0, 5.0)[0] == pytest.approx(jv(0, 5.0), abs=1e-16)
+    # the power-series branch, and underflow instead of overflow at tiny x
+    tiny = specialfn.bessel_j_values(400, 1e-300)
+    assert tiny[:2] == [1.0, 5e-301] and tiny[-1] == 0.0
+    with mpmath.workdps(40):
+        for x in (1e-9, 1.1e-8, 1e-3):
+            values = specialfn.bessel_j_values(60, x)
+            for n in (0, 1, 5, 20):
+                exact = float(mpmath.besselj(n, x))
+                assert values[n] == pytest.approx(exact, rel=1e-14, abs=1e-300)
+            assert all(math.isfinite(v) for v in values)
+    with pytest.raises(ValueError):
+        specialfn.bessel_j_values(-1, 1.0)
+    with pytest.raises(ValueError):
+        specialfn.bessel_j_values(3, -1.0)
+    with pytest.raises(ValueError):
+        specialfn.bessel_j_values(3, math.inf)
+
+
+POISSON_MUS = [1e-8, 0.01, 0.64, 1.0, 2.25, 10.0, 99.5, 100.0, 400.0, 899.5, 900.0]
+POISSON_DIMS = [1, 2, 5, 32, 48, 64, 100, 101, 200, 400, 401, 512, 899, 900, 901, 1000, 1156]
+
+
+@pytest.mark.parametrize("mu", POISSON_MUS)
+def test_poisson_tail_against_gammainc(mu):
+    for dim in sorted({*POISSON_DIMS, int(mu), int(mu) + 1, int(mu) + 2} - {0}):
+        ours = specialfn.poisson_tail(dim, mu)
+        ref = float(gammainc(dim, mu))
+        if ref >= 1e-3:
+            assert abs(ours - ref) <= 1e-13, dim
+        elif ref >= 1e-20:
+            # below ~1e-30 scipy's own gammainc drifts by ~1e-12 (mpmath below)
+            assert ours == pytest.approx(ref, rel=1e-12, abs=0.0), dim
+        with mpmath.workdps(40):
+            exact = float(mpmath.gammainc(dim, 0, mu, regularized=True))
+        if exact < 1e-3:
+            assert ours == pytest.approx(exact, rel=1e-12, abs=1e-300), dim
+        else:
+            assert abs(ours - exact) <= 1e-13, dim
+
+
+def test_poisson_tail_edges():
+    assert specialfn.poisson_tail(1, 0.0) == 0.0
+    assert specialfn.poisson_tail(1156, 0.0) == 0.0
+    for mu in (1e-12, 0.3, 5.0, 900.0):
+        assert specialfn.poisson_tail(1, mu) == pytest.approx(-math.expm1(-mu), rel=1e-14)
+    # both sides of dim = mu: the series and the complement meet
+    below = specialfn.poisson_tail(900, 900.0)
+    above = specialfn.poisson_tail(901, 900.0)
+    assert 0.0 < above < below < 1.0
+    with mpmath.workdps(40):
+        pmf = float(mpmath.exp(-900) * mpmath.mpf(900) ** 900 / mpmath.factorial(900))
+    assert below - above == pytest.approx(pmf, rel=1e-12)
+    assert specialfn.poisson_tail(3, math.inf) == 1.0
+    assert math.isnan(specialfn.poisson_tail(3, math.nan))
+    with pytest.raises(ValueError):
+        specialfn.poisson_tail(0, 1.0)
