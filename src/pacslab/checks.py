@@ -298,7 +298,9 @@ def verify(tol: float) -> list:
     check("ladder_pushthrough_identity", pushthrough_dev(24, 6), 1e-9)
 
     t, x = 0.5, -0.3
-    series = sum(t**m * specialfn.laguerre(m, x) for m in range(201))
+    series = 0.0  # left to right: builtin sum() compensates from Python 3.12
+    for m in range(201):
+        series += t**m * specialfn.laguerre(m, x)
     exact = math.exp(x * t / (t - 1)) / (1 - t)
     check("laguerre_generating_function", abs(series - exact), 1e-10)
 

@@ -2,8 +2,9 @@
 the cross-validation suite, serialized as reproducible CSV or JSON.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(including failed verification checks, non-finite records and overflow of
-the double range), 4 unwritable output.
+(including failed verification checks, non-finite records, overflow of
+the double range and truncations too large to allocate), 4 unwritable
+output.
 """
 
 import argparse
@@ -56,10 +57,7 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def grid_values(self):
-        start, stop, count = self.grid
-        if count == 1:
-            return np.array([start])
-        return np.linspace(start, stop, count)
+        return np.linspace(*self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +100,7 @@ def _read_config_file(path: str, keys, errors: list) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         errors.append(f"config file: {exc}")
         return values
     for lineno, raw in enumerate(lines, start=1):
@@ -287,8 +285,6 @@ def format_number(x) -> str:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -429,6 +425,9 @@ def main(argv=None) -> int:
         return 3
     except OverflowError as exc:
         print(f"pacslab: numerical failure: overflow ({exc})", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"pacslab: numerical failure: out of memory ({exc})", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"pacslab: i/o error: {exc}", file=sys.stderr)

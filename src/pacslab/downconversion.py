@@ -57,23 +57,6 @@ class DcParams:
         return self.alpha / math.cosh(self.r)
 
 
-@dataclass(frozen=True)
-class SqueezeFactors:
-    """Disentangling constants of the pair-coupling propagator."""
-
-    u: float
-    v: float
-    w: float
-
-
-def su11_factors(r: float) -> SqueezeFactors:
-    """(tanh r, -log cosh r, -tanh r); u + w = 0 and v <= 0 for all r."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    t = math.tanh(r)
-    return SqueezeFactors(u=t, v=-math.log(math.cosh(r)), w=-t)
-
-
 def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoModeState:
     """Closed-form evolved state of |alpha>_a |0>_b.
 
@@ -91,15 +74,17 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
         raise TruncationError(
             f"dim_a={p.dim_a} below dim_b-1={p.dim_b - 1} column reach", 1.0
         )
+    z = -1j * np.exp(1j * p.phi) * math.tanh(p.r)
+    pref = math.exp(-abs(p.alpha) ** 2 * math.tanh(p.r) ** 2 / 2.0) / math.cosh(p.r)
+    # the seed column before the grid is allocated, so an amplitude out of
+    # range fails first; its tail at dim_a is below the one checked next
+    col = pref * coherent_state(at, p.dim_a, tail_tol=1.0).amp
     a_tail = coherent_tail_mass(at, headroom)
     if a_tail > norm_tol:
         raise TruncationError(
             f"dim_a={p.dim_a} too small for top column of dim_b={p.dim_b}", a_tail
         )
-    z = -1j * np.exp(1j * p.phi) * math.tanh(p.r)
-    pref = math.exp(-abs(p.alpha) ** 2 * math.tanh(p.r) ** 2 / 2.0) / math.cosh(p.r)
     amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
-    col = pref * coherent_state(at, p.dim_a, tail_tol=norm_tol).amp
     amp[:, 0] = col
     lift = np.sqrt(np.arange(1.0, p.dim_a))
     for n in range(1, p.dim_b):
@@ -269,14 +254,17 @@ def p_m(alpha: complex, r: float, m: int) -> float:
 
 
 def p_m_cumulative(alpha: complex, r: float, m_max: int) -> float:
-    """Sum of p_m for m = 0..m_max."""
-    return sum(_p_m_values(alpha, r, m_max))
+    """Sum of p_m for m = 0..m_max, added left to right: builtin sum()
+    compensates floats from Python 3.12 on."""
+    total = 0.0
+    for value in _p_m_values(alpha, r, m_max):
+        total += value
+    return total
 
 
-def required_dim_b(
-    alpha: complex, r: float, tail_target: float = DEFAULT_TAIL_TARGET
-) -> int:
-    """Smallest idler truncation whose closed-form tail mass is below target.
+def required_dim_b(alpha: complex, r: float) -> int:
+    """Smallest idler truncation whose closed-form tail mass is below
+    DEFAULT_TAIL_TARGET.
 
     The scan stops at the Laguerre order limit and raises TruncationError
     beyond it.
@@ -284,19 +272,18 @@ def required_dim_b(
     csum = 0.0
     for m, value in enumerate(_p_m_values(alpha, r, LAGUERRE_M_MAX)):
         csum += value
-        if 1.0 - csum <= tail_target:
+        if 1.0 - csum <= DEFAULT_TAIL_TARGET:
             return m + 1
     raise TruncationError(
-        f"no idler truncation up to {LAGUERRE_M_MAX + 1} reaches tail {tail_target}",
+        f"no idler truncation up to {LAGUERRE_M_MAX + 1} reaches tail "
+        f"{DEFAULT_TAIL_TARGET}",
         1.0 - csum,
     )
 
 
-def auto_dims(
-    alpha: complex, r: float, tail_target: float = DEFAULT_TAIL_TARGET
-) -> tuple[int, int]:
-    """Truncations meeting the tail target for the given seed and squeeze."""
-    dim_b = max(DEFAULT_DIM_B, required_dim_b(alpha, r, tail_target))
+def auto_dims(alpha: complex, r: float) -> tuple[int, int]:
+    """Truncations meeting DEFAULT_TAIL_TARGET for the given seed and squeeze."""
+    dim_b = max(DEFAULT_DIM_B, required_dim_b(alpha, r))
     aa = abs(alpha) / math.cosh(r)
     dim_a = dim_b + int(math.ceil(aa * aa + 8.0 * aa + 16.0)) + 4
     return dim_a, dim_b

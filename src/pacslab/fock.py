@@ -62,9 +62,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T.copy())
-
 
 @dataclass(eq=False)
 class TwoModeState:
@@ -106,7 +103,7 @@ def annihilation_matrix(dim: int) -> OperatorMatrix:
 
 
 def creation_matrix(dim: int) -> OperatorMatrix:
-    return annihilation_matrix(dim).dagger()
+    return OperatorMatrix(annihilation_matrix(dim).entries.conj().T)
 
 
 def number_matrix(dim: int) -> OperatorMatrix:
@@ -117,12 +114,7 @@ def number_matrix(dim: int) -> OperatorMatrix:
 
 def coherent_tail_mass(alpha: complex, dim: int) -> float:
     """Analytic Poisson tail sum_{n>=dim} |<n|alpha>|^2."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    mu = abs(alpha) ** 2
-    if mu == 0.0:
-        return 0.0
-    return poisson_tail(dim, mu)
+    return poisson_tail(dim, abs(alpha) ** 2)
 
 
 def coherent_state(
@@ -130,22 +122,23 @@ def coherent_state(
 ) -> FockVector:
     """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
+    Raises NumericalFailureError when e^{-|a|^2/2} underflows the normal
+    double range (|a| above about 37.6): there it keeps too few digits for
+    the norm and reaches 0 at |a| of about 38.6.  This is checked before
+    the tail, whose series takes O(|a|) steps at the automatic truncations.
     Raises TruncationError when the analytic Poisson tail beyond the
-    truncation exceeds ``tail_tol``, and NumericalFailureError when
-    e^{-|a|^2/2} underflows the normal double range (|a| above about
-    37.6): there it keeps too few digits for the norm and reaches 0 at
-    |a| of about 38.6.
+    truncation exceeds ``tail_tol``.
     """
-    tail = coherent_tail_mass(alpha, dim)
-    if tail > tail_tol:
-        raise TruncationError(
-            f"dim={dim} too small for coherent amplitude {alpha}", tail
-        )
     vacuum_amp = math.exp(-abs(alpha) ** 2 / 2.0)
     if vacuum_amp < sys.float_info.min:
         raise NumericalFailureError(
             f"coherent amplitude {alpha}: exp(-|alpha|^2/2) = {vacuum_amp:.3g} "
             "underflows the double range"
+        )
+    tail = coherent_tail_mass(alpha, dim)
+    if tail > tail_tol:
+        raise TruncationError(
+            f"dim={dim} too small for coherent amplitude {alpha}", tail
         )
     amp = np.zeros(dim, dtype=np.complex128)
     amp[0] = vacuum_amp
@@ -196,7 +189,7 @@ def expm_apply(
         raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0))) if m.dim else 0.0
+    norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
     segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
     seg_tol = tol / (2.0 * segments)
     out = psi.amp.copy()

@@ -75,6 +75,8 @@ def jc_evolve_exact(p: JcParams) -> JointAtomFieldState:
     field_g[n+1] = -i c_n sin(beta_t sqrt(n+1)), field_g[0] = 0.
     """
     dim = p.resolved_dim()
+    if not math.isfinite(float(p.beta_t) * math.sqrt(dim)):
+        raise NumericalFailureError(f"Rabi phase overflows at beta_t={p.beta_t}")
     c = coherent_state(p.alpha, dim).amp
     rabi = p.beta_t * np.sqrt(np.arange(1.0, dim + 1))
     fe = c * np.cos(rabi)
@@ -151,10 +153,9 @@ class MpacsExpansion:
     oracle: FockVector
 
 
-def mpacs_expansion(
-    p: JcParams, n_max: int, m_max: int | None = None
-) -> MpacsExpansion:
-    """Re-expand the conditional cavity state over photon-added states.
+def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
+    """Re-expand the conditional cavity state over the photon-added states
+    of order m = 1..n_max + 1.
 
     ``table[n, m]`` holds the verbatim coefficient
 
@@ -169,8 +170,7 @@ def mpacs_expansion(
     recorded; the n = 0 row uses the table convention S(0, 0) = 1 so the
     leading single-addition term is present.
     """
-    if m_max is None:
-        m_max = n_max + 1
+    m_max = n_max + 1
     # the highest-order basis state needs m_max levels of headroom
     dim = p.dim if p.dim is not None else default_dim(p.alpha) + m_max
     oracle_params = JcParams(p.alpha, p.beta_t, dim)

@@ -34,27 +34,22 @@ class PacsSpec:
             raise ValueError("photon-addition order m must be nonnegative")
 
 
-def pacs_state(
-    spec: PacsSpec,
-    dim: int,
-    normalized: bool = False,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> FockVector:
+def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector:
     """Fock amplitudes of the order-m photon-added coherent state.
 
     Each creation application shifts weight one level up, so the coherent
-    tail check is enforced at dim - m rather than dim.
+    tail check is enforced at dim - m rather than dim, after the coherent
+    state's own range check.
     """
     if dim <= spec.m:
         # every amplitude would be lifted past the truncation
         raise TruncationError(f"dim={dim} leaves no room for m={spec.m} additions", 1.0)
+    amp = coherent_state(spec.alpha, dim, tail_tol=1.0).amp
     tail = coherent_tail_mass(spec.alpha, dim - spec.m)
-    if tail > tail_tol:
+    if tail > DEFAULT_TAIL_TOL:
         raise TruncationError(
             f"dim={dim} too small for pacs(alpha={spec.alpha}, m={spec.m})", tail
         )
-    base = coherent_state(spec.alpha, dim, tail_tol=1.0)
-    amp = base.amp
     lift = np.sqrt(np.arange(1.0, dim))
     for _ in range(spec.m):
         shifted = np.zeros(dim, dtype=np.complex128)

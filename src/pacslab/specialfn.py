@@ -2,33 +2,30 @@
 
 Stirling numbers of the second kind are kept as exact Python integers (no
 floating point in the table); Laguerre polynomials use the stable three-term
-recurrence; log-factorials come from a cached cumulative sum.  Bessel
+recurrence; log-factorials are a left-to-right sum of logs.  Bessel
 functions J_0..J_n come from one Miller backward recurrence (the Chebyshev
 coefficients of the pair propagator), and the Poisson tail P(N >= dim) from
 a saddle-point-scaled series (the coherent-state truncation check).
 """
 
 import math
-from functools import lru_cache
+from functools import cache
 
 from .errors import NumericalFailureError
 
 STIRLING_N_MAX = 64
 LAGUERRE_M_MAX = 512
-LOG_FACTORIAL_N_MAX = 10**6
 
 
-@lru_cache(maxsize=8)
-def stirling_table(n_max: int) -> tuple:
-    """Table of S(n, k) for 0 <= k <= n <= n_max, exact integers.
+@cache
+def stirling_table() -> tuple:
+    """Table of S(n, k) for 0 <= k <= n <= STIRLING_N_MAX, exact integers.
 
     Built from S(n, k) = k S(n-1, k) + S(n-1, k-1) with S(0, 0) = 1.
     Row n is a tuple of length n + 1.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     rows = [(1,)]
-    for n in range(1, n_max + 1):
+    for n in range(1, STIRLING_N_MAX + 1):
         prev = rows[n - 1]
         row = [0] * (n + 1)
         for k in range(1, n):
@@ -38,15 +35,15 @@ def stirling_table(n_max: int) -> tuple:
     return tuple(rows)
 
 
-def stirling2(n: int, k: int, n_max: int = STIRLING_N_MAX) -> int:
+def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), exact."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    if n > n_max or k > n_max:
-        raise ValueError(f"n, k must not exceed n_max={n_max}")
+    if n > STIRLING_N_MAX or k > STIRLING_N_MAX:
+        raise ValueError(f"n, k must not exceed {STIRLING_N_MAX}")
     if k > n:
         return 0
-    return stirling_table(n_max)[n][k]
+    return stirling_table()[n][k]
 
 
 def laguerre_values(m_max: int, x: float):
@@ -78,26 +75,14 @@ def laguerre(m: int, x: float) -> float:
     return value
 
 
-_LOG_FACT = (0.0, 0.0)
-
-
 def log_factorial(n: int) -> float:
-    """ln(n!) via a cached cumulative sum of logs."""
-    global _LOG_FACT
+    """ln(n!) as the left-to-right sum 0 + ln 2 + ... + ln n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > LOG_FACTORIAL_N_MAX:
-        raise ValueError(f"n must not exceed {LOG_FACTORIAL_N_MAX}")
-    table = _LOG_FACT
-    if n >= len(table):
-        # grow a fresh table and publish it whole; published tables are
-        # immutable, so concurrent readers always see a consistent prefix
-        ext = list(table)
-        while len(ext) <= n:
-            ext.append(ext[-1] + math.log(len(ext)))
-        table = tuple(ext)
-        _LOG_FACT = table
-    return table[n]
+    total = 0.0
+    for k in range(2, n + 1):
+        total += math.log(k)
+    return total
 
 
 def bessel_j_values(n_max: int, x: float) -> list:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pacslab import cli
 from pacslab.errors import ConfigError, NumericalFailureError
@@ -177,6 +181,8 @@ def test_exit_code_validation_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     conf = tmp_path / "overlap.cfg"
     conf.write_text("scenario = dc-overlap\ntol = 0.5\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"scenario = dc-pm\nalpha = 0.8 # \xff\n")
     cases = [
         ["--scenario", "nope"],
         ["--scenario", "dc-pm", "--r", "bad:grid"],
@@ -197,6 +203,8 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["--scenario", "jc-curve", "--dim-b", "2", "--tol", "0.5"],
         ["--scenario", "dc-ideal-check", "--tol", "0.1"],
         ["--config", str(conf)],
+        # a config file that is not UTF-8
+        ["--config", str(latin1)],
     ]
     for args in cases:
         assert cli.main(args + ["--out", str(out)]) == 2, args
@@ -240,12 +248,30 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         (["--scenario", "dc-overlap", "--r", "0:800:3"], "overflow"),
         (["--scenario", "dc-pm", "--r", "1e308"], "overflow"),
         (["--scenario", "dc-overlap", "--alpha", "1e200"], "overflow"),
+        # a seed whose vacuum amplitude underflows, caught before the
+        # 1e8 x 24 grid is allocated
+        (["--scenario", "dc-ideal-check", "--alpha", "1e4", "--r", "0"],
+         "exp(-|alpha|^2/2) = 0 underflows the double range"),
     ]
     for args, reason in cases:
         assert cli.main(args + ["--out", str(out)]) == 3, args
         err = capsys.readouterr().err
         assert err.startswith("pacslab: numerical failure:") and reason in err, args
         assert not out.exists(), args
+
+
+def test_memory_error_exits_3_without_output(tmp_path, capsys, monkeypatch):
+    # a forced truncation too large to allocate; raised, not allocated, since
+    # whether a huge allocation fails depends on the host's overcommit policy
+    def runner(cfg):
+        raise MemoryError("Unable to allocate 35.8 GiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "dc-pm", runner)
+    out = tmp_path / "pm.csv"
+    assert cli.main(["--scenario", "dc-pm", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pacslab: numerical failure:") and "35.8 GiB" in err
+    assert not out.exists()
 
 
 def test_non_finite_records_exit_3_without_output(tmp_path, capsys):
@@ -374,3 +400,79 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# totality: every scenario, given only options it reads, ends in a
+# documented exit code, and exit 0 writes only finite records
+
+_SPECIAL_ALPHAS = ["nan", "inf", "nan+1i", "1e4", "1e8", "1e154", "1e200", "1e309", "40"]
+_ENDPOINTS = st.one_of(
+    st.floats(0.0, 3.0),
+    st.sampled_from([-1.0, 0.0, 1e10, 1e307, 1e308, math.inf, math.nan]),
+)
+
+
+def _complex_text(z: complex) -> str:
+    return f"{z.real!r}{z.imag:+}i"
+
+
+def _grid_text(start: float, stop: float, count: int) -> str:
+    return f"{start!r}:{stop!r}:{count}"
+
+
+@st.composite
+def _cli_args(draw):
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    reads = cli._DEFAULTS[scenario][2].split()
+    options = {
+        "alpha": st.one_of(
+            st.complex_numbers(max_magnitude=40.0).map(_complex_text),
+            st.sampled_from(_SPECIAL_ALPHAS),
+        ),
+        "r" if scenario != "jc-curve" else "beta_t": st.builds(
+            _grid_text, _ENDPOINTS, _ENDPOINTS, st.integers(-1, 4)
+        ),
+        "m_list": st.lists(st.integers(-1, 40), min_size=1, max_size=4).map(
+            lambda ms: ",".join(map(str, ms))
+        ),
+        "dim_a": st.integers(-1, 400).map(str),
+        "dim_b": st.integers(-1, 400).map(str),
+        "tol": st.one_of(
+            st.floats(1e-16, 0.5).map(repr), st.sampled_from(["0", "1", "nan", "1e-300"])
+        ),
+    }
+    args = ["--scenario", scenario, "--format", draw(st.sampled_from(cli.FORMATS))]
+    for key, strategy in options.items():
+        if key in reads and draw(st.booleans()):
+            args += [f"--{key.replace('_', '-')}", draw(strategy)]
+    return args
+
+
+def _records_finite(text: str, fmt: str) -> bool:
+    if fmt == "json":
+        constants = []
+        json.loads(text, parse_constant=constants.append)
+        return not constants
+    cells = {cell for line in text.splitlines()[1:] for cell in line.split(",")}
+    return not cells & {"nan", "inf", "-inf"}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_cli_args(), st.one_of(st.none(), st.binary(max_size=24)))
+@example(["--scenario", "dc-ideal-check", "--format", "csv", "--alpha", "1e4", "--r", "0"], None)
+@example(["--format", "csv"], b"scenario = dc-pm\n\xff\n")
+# a Rabi phase beyond the double range, and a seed whose tail series once
+# took O(|alpha|) steps before the underflow check
+@example(["--scenario", "jc-curve", "--format", "csv", "--beta-t", "0:1e308:2"], None)
+@example(["--scenario", "dc-ideal-check", "--format", "json", "--alpha", "1e154", "--r", "0"], None)
+def test_cli_total(args, config):
+    fmt = args[args.index("--format") + 1]
+    with tempfile.TemporaryDirectory() as td:
+        out = Path(td) / "records"
+        if config is not None:
+            (Path(td) / "run.cfg").write_bytes(config)
+            args = args + ["--config", str(Path(td) / "run.cfg")]
+        rc = cli.main(args + ["--out", str(out)])
+        assert rc in (0, 2, 3, 4), args
+        if rc == 0:
+            assert _records_finite(out.read_text(encoding="utf-8"), fmt), args

@@ -11,19 +11,6 @@ from pacslab.pacs import PacsSpec, pacs_state
 from pacslab.specialfn import LAGUERRE_M_MAX, laguerre
 
 
-def test_su11_factors():
-    z = dc.su11_factors(0.0)
-    assert (z.u, z.v, z.w) == (0.0, 0.0, 0.0)
-    f = dc.su11_factors(1.0)
-    assert f.u == pytest.approx(0.7615942, abs=1e-7)
-    assert f.v == pytest.approx(-0.4337809, abs=1e-7)
-    assert f.w == pytest.approx(-0.7615942, abs=1e-7)
-    for r in (0.0, 0.3, 1.7, 4.0):
-        f = dc.su11_factors(r)
-        assert f.u + f.w == 0.0
-        assert f.v <= 0.0
-
-
 def test_closed_zero_interaction_is_product_state():
     p = dc.DcParams(0.8, 0.0)
     state = dc.dc_evolve_closed(p)
@@ -46,8 +33,8 @@ def test_closed_vacuum_seed_is_two_mode_squeezed_vacuum():
 
 
 def test_closed_norm_checked_not_renormalized():
-    da, db = dc.auto_dims(0.8, 1.0, tail_target=1e-11)
-    state = dc.dc_evolve_closed(dc.DcParams(0.8, 1.0, 0.0, da, db))
+    # the dims a tail target of 1e-11 gives, tighter than auto_dims
+    state = dc.dc_evolve_closed(dc.DcParams(0.8, 1.0, 0.0, 82, 57))
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
     # undersized idler truncation must raise, carrying the tail mass
     with pytest.raises(TruncationError) as exc:
@@ -224,14 +211,15 @@ def test_single_pass_p_m_equals_per_order_loop(alpha, r):
     terms = [per_order_p_m(alpha, r, m) for m in range(LAGUERRE_M_MAX + 1)]
     for m in (0, 1, 7, 200, LAGUERRE_M_MAX):
         assert dc.p_m(alpha, r, m) == terms[m]
-    for m_max in (0, 1, 60, 333, LAGUERRE_M_MAX):
-        assert dc.p_m_cumulative(alpha, r, m_max) == sum(terms[: m_max + 1])
-    csum = 0.0
-    for m, term in enumerate(terms):
+    # left-to-right partial sums; builtin sum() compensates from Python 3.12
+    partial, csum = [], 0.0
+    for term in terms:
         csum += term
-        if 1.0 - csum <= 1e-9:
-            break
-    assert dc.required_dim_b(alpha, r, tail_target=1e-9) == m + 1
+        partial.append(csum)
+    for m_max in (0, 1, 60, 333, LAGUERRE_M_MAX):
+        assert dc.p_m_cumulative(alpha, r, m_max) == partial[m_max]
+    m = next(m for m, csum in enumerate(partial) if 1.0 - csum <= 1e-9)
+    assert dc.required_dim_b(alpha, r) == m + 1
 
 
 def test_required_dim_b_stops_at_laguerre_limit():
@@ -244,7 +232,7 @@ def test_required_dim_b_stops_at_laguerre_limit():
 
 def test_required_dim_b_meets_tail_target():
     for alpha, r in ((0.5, 0.5), (0.8, 1.0), (1.5, 2.0)):
-        db = dc.required_dim_b(alpha, r, tail_target=1e-9)
+        db = dc.required_dim_b(alpha, r)
         assert 1.0 - dc.p_m_cumulative(alpha, r, db - 1) <= 1e-9
         assert 1.0 - dc.p_m_cumulative(alpha, r, db - 2) > 1e-9
 
@@ -324,7 +312,5 @@ def test_complex_seed_amplitude_supported():
 def test_params_validation():
     with pytest.raises(ValueError):
         dc.DcParams(0.8, -0.1)
-    with pytest.raises(ValueError):
-        dc.su11_factors(-1.0)
     with pytest.raises(ValueError):
         dc.p_m(0.8, 1.0, -1)

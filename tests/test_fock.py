@@ -55,8 +55,9 @@ def test_coherent_state_truncation_error_carries_tail():
 
 def test_coherent_state_underflow_raises():
     # exp(-|alpha|^2 / 2) is 0 at 40 and a subnormal with 10 digits at 38,
-    # where the norm of the vector it would build is off by 9e-11
-    for alpha in (40.0, 38.0, 38.0j):
+    # where the norm of the vector it would build is off by 9e-11; at 1e154
+    # the tail series, were it summed first, would take O(|alpha|) steps
+    for alpha in (40.0, 38.0, 38.0j, 1e154):
         with pytest.raises(NumericalFailureError, match="underflows"):
             fock.coherent_state(alpha, fock.default_dim(alpha))
     st = fock.coherent_state(37.5, fock.default_dim(37.5))
