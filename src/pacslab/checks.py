@@ -36,12 +36,6 @@ def worst_of(values) -> float:
     return max([0.0, *values])
 
 
-def two_mode_fidelity(x: fock.TwoModeState, y: fock.TwoModeState) -> float:
-    """Squared normalized overlap of two bipartite states."""
-    ov = abs(np.vdot(x.amp, y.amp)) ** 2
-    return ov / (x.norm_sq() * y.norm_sq())
-
-
 def curve_rows(alpha: complex, beta_ts, ms, dim=None) -> list:
     """jc-curve: overlaps of the conditional cavity state with the
     photon-added targets over beta_t (closed form only)."""
@@ -214,7 +208,7 @@ def factorization_deficit(points, tol: float) -> float:
     def deficit(alpha, r, phi):
         params = dc.DcParams(alpha, r, phi, *dc.auto_dims(alpha, r))
         closed = dc.dc_evolve_closed(params)
-        return 1.0 - two_mode_fidelity(closed, dc.dc_evolve_numeric(params, tol=tol))
+        return 1.0 - fock.fidelity(closed, dc.dc_evolve_numeric(params, tol=tol))
 
     return worst_of(deficit(*point) for point in points)
 

@@ -277,8 +277,6 @@ def format_number(x) -> str:
     f = float(x)
     if f == 0.0:
         return "0"
-    if not math.isfinite(f):
-        return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
     if abs(f) < 1e-4:
         return f"{f:.11e}"
     return f"{f:.12g}"
@@ -349,8 +347,9 @@ def run_dc_pm(cfg: RunConfig):
 
 def run_dc_ideal(cfg: RunConfig):
     rows = checks.ideal_rows(cfg.alpha, cfg.grid_values(), cfg.m_list, cfg.dim_a, cfg.dim_b)
-    deficits = (1.0 - row["fidelity"] for row in rows if row["fidelity"] is not None)
-    return rows, checks.worst_of(deficits)
+    deficits = [1.0 - row["fidelity"] for row in rows if row["fidelity"] is not None]
+    # n/a when every branch is empty: nothing was compared
+    return rows, checks.worst_of(deficits) if deficits else None
 
 
 def run_verify(cfg: RunConfig):

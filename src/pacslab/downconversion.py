@@ -205,25 +205,20 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
 
 @dataclass(frozen=True)
 class ConditionalResult:
-    """Conditioned signal-mode state, outcome probability, and (when the
-    rescaled amplitude is supplied) its fidelity with the ideal
-    photon-added target."""
+    """Conditioned signal-mode state, outcome probability, and its fidelity
+    with the ideal photon-added target."""
 
     state: FockVector
     prob: float
-    fidelity: float | None
+    fidelity: float
 
 
-def conditional_mpacs(
-    state: TwoModeState, m: int, alpha_eff: complex | None = None
-) -> ConditionalResult:
-    """Project the b mode onto |m> and compare against adag^m |alpha_eff>."""
+def conditional_mpacs(state: TwoModeState, m: int, alpha_eff: complex) -> ConditionalResult:
+    """Project the b mode onto |m> and compare against adag^m |alpha_eff>;
+    raises EmptyBranchError for an empty branch (see fock.normalize)."""
     vec, prob = project_b(state, m)
-    fid = None
-    if alpha_eff is not None:
-        target = pacs_state(PacsSpec(alpha_eff, m), state.dim_a, normalized=True)
-        fid = abs(inner_product(target, vec)) ** 2
-    return ConditionalResult(state=vec, prob=prob, fidelity=fid)
+    target = pacs_state(PacsSpec(alpha_eff, m), state.dim_a, normalized=True)
+    return ConditionalResult(vec, prob, abs(inner_product(target, vec)) ** 2)
 
 
 def _p_m_values(alpha: complex, r: float, m_max: int):
@@ -319,7 +314,7 @@ def spacs_overlap_numeric(alpha: complex, r: float, dim: int | None = None) -> f
     if dim is None:
         dim = default_dim(alpha) + 8
     at = alpha / math.cosh(r)
-    ov = pacs_overlap(PacsSpec(alpha, 1), PacsSpec(at, 1), dim, normalized=True)
+    ov = pacs_overlap(PacsSpec(alpha, 1), PacsSpec(at, 1), dim)
     return abs(ov) ** 2
 
 

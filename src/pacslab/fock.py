@@ -162,10 +162,25 @@ def inner_product(psi: FockVector, phi: FockVector) -> complex:
     return complex(np.vdot(psi.amp, phi.amp))
 
 
-def fidelity(psi: FockVector, phi: FockVector) -> float:
-    """|<psi|phi>|^2 between the normalized states."""
-    ov = inner_product(psi, phi)
+def fidelity(psi: FockVector | TwoModeState, phi: FockVector | TwoModeState) -> float:
+    """|<psi|phi>|^2 between the normalized states, single- or two-mode."""
+    if psi.amp.shape != phi.amp.shape:
+        raise DimensionMismatchError(f"dims differ: {psi.amp.shape} vs {phi.amp.shape}")
+    ov = complex(np.vdot(psi.amp, phi.amp))
     return abs(ov) ** 2 / (psi.norm_sq() * phi.norm_sq())
+
+
+def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
+    """Normalized state of a measurement branch and its probability |amp|^2.
+
+    The one place that decides a branch is empty: EmptyBranchError when
+    |amp|^2 is below the smallest normal double, where the normalized state
+    loses digits.  |amp|^2 is taken from ``amp`` as given, strided views too.
+    """
+    prob = float(np.vdot(amp, amp).real)
+    if prob < sys.float_info.min:
+        raise EmptyBranchError(f"branch probability {prob:.3g} is below the normal range")
+    return FockVector(amp / math.sqrt(prob)), prob
 
 
 def apply_operator(m: OperatorMatrix, psi: FockVector) -> FockVector:
@@ -222,15 +237,11 @@ def project_b(state: TwoModeState, m: int) -> tuple[FockVector, float]:
     """Condition on the b-mode number outcome m.
 
     Returns the renormalized a-mode state and the outcome probability;
-    raises EmptyBranchError instead of dividing by a zero probability.
+    raises EmptyBranchError for an empty branch (see normalize).
     """
     if not 0 <= m < state.dim_b:
         raise ValueError(f"b-mode index {m} outside dim_b {state.dim_b}")
-    col = state.amp[:, m]
-    prob = float(np.vdot(col, col).real)
-    if prob <= 0.0:
-        raise EmptyBranchError(f"b-mode outcome {m} has zero probability")
-    return FockVector(col / math.sqrt(prob)), prob
+    return normalize(state.amp[:, m])
 
 
 def number_moments(psi: FockVector) -> tuple[float, float]:

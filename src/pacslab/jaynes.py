@@ -22,11 +22,10 @@ from .fock import (
     creation_matrix,
     default_dim,
     inner_product,
+    normalize,
 )
 from .pacs import PacsSpec, pacs_norm_sq, pacs_state
 from .specialfn import stirling2
-
-MIN_GROUND_PROB = 1e-14
 
 BRACKET_VARIANTS = ("with_factorial", "plain")
 BASIS_VARIANTS = ("raw", "normalized")
@@ -119,17 +118,6 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     return JointAtomFieldState(FockVector(e_amp), FockVector(g_amp))
 
 
-def jc_conditional_ground(s: JointAtomFieldState) -> tuple[FockVector, float]:
-    """Cavity state after detecting the atom in the lower level.
-
-    Returns the normalized field and the detection probability.
-    """
-    prob = s.field_g.norm_sq()
-    if prob <= 0.0:
-        raise EmptyBranchError("lower-level branch has zero probability")
-    return FockVector(s.field_g.amp / math.sqrt(prob)), prob
-
-
 def _expansion_weight(n: int, m: int, alpha: complex, bracket: str) -> complex:
     s_nm = stirling2(n, m) if m <= n else 0
     s_nm1 = stirling2(n, m - 1) if m - 1 <= n else 0
@@ -182,7 +170,7 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
         for m in range(1, m_max + 1):
             table[n, m] = _expansion_weight(n, m, p.alpha, "with_factorial") * norms[m]
 
-    oracle, _ = jc_conditional_ground(jc_evolve_exact(oracle_params))
+    oracle, _ = normalize(jc_evolve_exact(oracle_params).field_g.amp)
     tau = -1j * p.beta_t
     # tau^{2n+1}/(2n+1)! prefactors, built incrementally
     prefs = np.zeros(n_max + 1, dtype=np.complex128)
@@ -243,8 +231,8 @@ def jc_overlap_curve(
     photon-added target, across the interaction grid.
 
     Both the modulus and its square are reported for every point.  Points
-    where the detection probability falls below MIN_GROUND_PROB are emitted
-    with null overlaps instead of a 0/0 artifact.
+    whose lower-level branch is empty (see fock.normalize) are emitted with
+    null overlaps and ground_prob 0.
     """
     beta_t_grid = list(beta_t_grid)
     m_list = list(m_list)
@@ -258,12 +246,11 @@ def jc_overlap_curve(
     points = []
     for bt in beta_t_grid:
         state = jc_evolve_exact(JcParams(alpha, bt, dim))
-        prob = state.field_g.norm_sq()
-        if prob < MIN_GROUND_PROB:
-            for m in m_list:
-                points.append(CurvePoint(bt, m, None, None, prob))
+        try:
+            cond, prob = normalize(state.field_g.amp)
+        except EmptyBranchError:
+            points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
             continue
-        cond = FockVector(state.field_g.amp / math.sqrt(prob))
         for m in m_list:
             ov = abs(inner_product(targets[m], cond))
             points.append(CurvePoint(bt, m, ov, ov * ov, prob))

@@ -18,6 +18,7 @@ from .fock import (
     coherent_state,
     coherent_tail_mass,
     inner_product,
+    normalize,
 )
 from .specialfn import laguerre, log_factorial
 
@@ -55,10 +56,7 @@ def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector
         shifted = np.zeros(dim, dtype=np.complex128)
         shifted[1:] = lift * amp[:-1]
         amp = shifted
-    vec = FockVector(amp)
-    if normalized:
-        return FockVector(amp / math.sqrt(vec.norm_sq()))
-    return vec
+    return normalize(amp)[0] if normalized else FockVector(amp)
 
 
 def pacs_norm_sq(spec: PacsSpec) -> float:
@@ -66,14 +64,11 @@ def pacs_norm_sq(spec: PacsSpec) -> float:
     return math.exp(log_factorial(spec.m)) * laguerre(spec.m, -abs(spec.alpha) ** 2)
 
 
-def pacs_overlap(
-    a: PacsSpec, b: PacsSpec, dim: int, normalized: bool = True
-) -> complex:
-    """Numeric overlap of two photon-added coherent states.
+def pacs_overlap(a: PacsSpec, b: PacsSpec, dim: int) -> complex:
+    """Numeric overlap of two normalized photon-added coherent states.
 
     The amplitudes need not coincide; there is no general closed form, the
     value comes from the truncated inner product.
     """
-    va = pacs_state(a, dim, normalized=normalized)
-    vb = pacs_state(b, dim, normalized=normalized)
+    va, vb = (pacs_state(spec, dim, normalized=True) for spec in (a, b))
     return inner_product(va, vb)

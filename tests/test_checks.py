@@ -19,11 +19,13 @@ def test_worst_of_keeps_nan():
     [
         ("_interior_rel_dev", lambda: checks.normal_ordering_dev(6, 3)),
         ("_interior_rel_dev", lambda: checks.pushthrough_dev(6, 3)),
-        ("two_mode_fidelity", lambda: checks.factorization_deficit([(0.5, 0.1, 0.0)], 1e-13)),
+        ("fock.fidelity", lambda: checks.factorization_deficit([(0.5, 0.1, 0.0)], 1e-13)),
     ],
 )
 def test_nan_measurement_reaches_the_fold(monkeypatch, target, measure):
-    monkeypatch.setattr(checks, target, lambda *args: NAN)
+    # target is a name as seen from checks: a function of its own, or one it
+    # reaches through a module
+    monkeypatch.setattr(f"pacslab.checks.{target}", lambda *args: NAN)
     assert math.isnan(measure())
 
 

@@ -111,6 +111,11 @@ def test_format_number_rules():
     assert cli.format_number(12345.678901234) == "12345.6789012"
     assert cli.format_number(5e-05) == "5.00000000000e-05"
     assert cli.format_number(2e-4) == "0.0002"
+    assert [cli.format_number(float(x)) for x in ("nan", "inf", "-inf")] == [
+        "nan",
+        "inf",
+        "-inf",
+    ]
 
 
 def test_jc_curve_csv_columns_and_nulls(tmp_path):
@@ -136,6 +141,25 @@ def test_jc_curve_csv_columns_and_nulls(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[2] == "" and first[3] == ""  # null markers at the empty branch
+
+
+def test_dc_ideal_empty_branches_are_blank(capsys):
+    # p_2 = 2.5e-320 at r = 1e-80 is subnormal, where the normalized state
+    # scored fidelity 1.00025679996: the branch is empty, blank with prob 0
+    assert cli.main(["--scenario", "dc-ideal-check", "--r", "1e-80", "--m-list", "0,1,2"]) == 0
+    out, err = capsys.readouterr()
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[1], row[4], row[5]) for row in rows] == [
+        ("0", "1", "1"),
+        ("1", "1", "1.64000000000e-160"),
+        ("2", "", "0"),
+    ]
+    assert err == "dc-ideal-check: points=3 max_oracle_deviation=0\n"
+    # at r = 0 every branch with m > 0 is empty: nothing was compared
+    assert cli.main(["--scenario", "dc-ideal-check", "--r", "0", "--m-list", "1,2"]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split(",")[4:6] for line in out.splitlines()[1:]] == [["", "0"]] * 2
+    assert err == "dc-ideal-check: points=2 max_oracle_deviation=n/a\n"
 
 
 def test_json_output_keys_and_fingerprint(tmp_path):
@@ -403,7 +427,7 @@ def test_cli_import_loads_no_scipy():
 
 
 # totality: every scenario, given only options it reads, ends in a
-# documented exit code, and exit 0 writes only finite records
+# documented exit code, and exit 0 writes only finite, physical records
 
 _SPECIAL_ALPHAS = ["nan", "inf", "nan+1i", "1e4", "1e8", "1e154", "1e200", "1e309", "40"]
 _ENDPOINTS = st.one_of(
@@ -448,13 +472,32 @@ def _cli_args(draw):
     return args
 
 
-def _records_finite(text: str, fmt: str) -> bool:
+# a fidelity or overlap above 1 is a normalization that has lost its digits
+_AT_MOST_ONE = ("fidelity", "overlap_sq", "overlap_modulus")
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _records_physical(text: str, fmt: str) -> bool:
+    """Every number finite, and no fidelity or overlap above 1 + 1e-12."""
     if fmt == "json":
-        constants = []
-        json.loads(text, parse_constant=constants.append)
-        return not constants
-    cells = {cell for line in text.splitlines()[1:] for cell in line.split(",")}
-    return not cells & {"nan", "inf", "-inf"}
+        rows = json.loads(text, parse_constant=float)
+        cells = [(c, v) for row in rows for c, v in row.items() if type(v) is float]
+    else:
+        header, *lines = text.splitlines()
+        cells = [
+            (c, _number(v)) for line in lines for c, v in zip(header.split(","), line.split(","))
+        ]
+    return all(
+        math.isfinite(v) and (c not in _AT_MOST_ONE or v <= 1 + 1e-12)
+        for c, v in cells
+        if v is not None
+    )
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -465,6 +508,8 @@ def _records_finite(text: str, fmt: str) -> bool:
 # took O(|alpha|) steps before the underflow check
 @example(["--scenario", "jc-curve", "--format", "csv", "--beta-t", "0:1e308:2"], None)
 @example(["--scenario", "dc-ideal-check", "--format", "json", "--alpha", "1e154", "--r", "0"], None)
+# a subnormal branch probability once scored as fidelity 1.00025679996
+@example(["--scenario", "dc-ideal-check", "--format", "csv", "--r", "1e-80", "--m-list", "2"], None)
 def test_cli_total(args, config):
     fmt = args[args.index("--format") + 1]
     with tempfile.TemporaryDirectory() as td:
@@ -475,4 +520,4 @@ def test_cli_total(args, config):
         rc = cli.main(args + ["--out", str(out)])
         assert rc in (0, 2, 3, 4), args
         if rc == 0:
-            assert _records_finite(out.read_text(encoding="utf-8"), fmt), args
+            assert _records_physical(out.read_text(encoding="utf-8"), fmt), args

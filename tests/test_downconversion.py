@@ -106,7 +106,7 @@ def test_numeric_matches_closed_at_default_dims():
     p = dc.DcParams(0.8, 0.5)
     closed = dc.dc_evolve_closed(p)
     numeric = dc.dc_evolve_numeric(p)
-    assert checks.two_mode_fidelity(closed, numeric) >= 1 - 1e-8
+    assert fock.fidelity(closed, numeric) >= 1 - 1e-8
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.8])
@@ -116,7 +116,7 @@ def test_numeric_matches_closed_with_phase(alpha, phi):
     p = dc.DcParams(alpha, 1.0, phi, da, db)
     closed = dc.dc_evolve_closed(p)
     numeric = dc.dc_evolve_numeric(p)
-    assert checks.two_mode_fidelity(closed, numeric) >= 1 - 1e-8
+    assert fock.fidelity(closed, numeric) >= 1 - 1e-8
 
 
 def test_numeric_vacuum_marginal_is_geometric():
@@ -150,7 +150,7 @@ def test_conditional_large_squeeze_approaches_number_state():
     # to |2>; the exact fidelity is e^{-x}/L_2(-x) with x = |alpha_eff|^2
     p = dc.DcParams(0.8, 3.0, 0.0, 48, 8)
     state = dc.dc_evolve_closed(p, norm_tol=1.0)
-    res = dc.conditional_mpacs(state, 2)
+    res = dc.conditional_mpacs(state, 2, alpha_eff=p.alpha_eff())
     two = fock.fock_state(2, p.dim_a)
     fid = abs(fock.inner_product(two, res.state)) ** 2
     x = abs(p.alpha_eff()) ** 2
@@ -161,7 +161,7 @@ def test_conditional_large_squeeze_approaches_number_state():
 def test_conditional_empty_branch():
     p = dc.DcParams(0.8, 0.0)
     with pytest.raises(EmptyBranchError):
-        dc.conditional_mpacs(dc.dc_evolve_closed(p), 1)
+        dc.conditional_mpacs(dc.dc_evolve_closed(p), 1, alpha_eff=p.alpha_eff())
 
 
 def test_ideal_pacs_deficit_counts_empty_branch_as_one():
@@ -300,7 +300,7 @@ def test_complex_seed_amplitude_supported():
     p = dc.DcParams(alpha, 0.7, math.pi / 5, da, db)
     closed = dc.dc_evolve_closed(p)
     numeric = dc.dc_evolve_numeric(p)
-    assert checks.two_mode_fidelity(closed, numeric) >= 1 - 1e-8
+    assert fock.fidelity(closed, numeric) >= 1 - 1e-8
     res = dc.conditional_mpacs(closed, 2, alpha_eff=p.alpha_eff())
     assert res.fidelity >= 1 - 1e-10
     col = numeric.amp[:, 2]

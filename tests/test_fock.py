@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ def test_tensor_and_project_roundtrip():
         fock.project_b(joint, 3)
     with pytest.raises(ValueError):
         fock.project_b(joint, 6)
+
+
+def test_normalize_rejects_empty_and_subnormal_branches():
+    tiny = math.sqrt(sys.float_info.min)
+    vec, prob = fock.normalize(np.array([tiny * 1.25, 0.0], dtype=np.complex128))
+    assert prob >= sys.float_info.min and vec.norm_sq() == pytest.approx(1.0, rel=1e-15)
+    # zero, and |amp|^2 of 1e-320 (subnormal): the branch is empty
+    for amp in (np.zeros(3, dtype=np.complex128), np.array([1e-160, 0.0], dtype=complex)):
+        with pytest.raises(EmptyBranchError):
+            fock.normalize(amp)
+
+
+def test_fidelity_of_two_mode_states():
+    rng = np.random.default_rng(3)
+    x = fock.TwoModeState(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    assert fock.fidelity(x, fock.TwoModeState(2j * x.amp)) == pytest.approx(1.0, rel=1e-14)
+    y = fock.TwoModeState(np.outer(np.eye(5)[0], np.eye(3)[1]))
+    expected = abs(x.amp[0, 1]) ** 2 / x.norm_sq()
+    assert fock.fidelity(x, y) == pytest.approx(expected, rel=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        fock.fidelity(x, fock.TwoModeState(x.amp.T))
 
 
 def test_project_probabilities_complete_and_reembed():

@@ -8,7 +8,6 @@ from pacslab.checks import JC_ANCHORS, jc_anchor_moduli, jc_anchors_hold
 from pacslab.errors import EmptyBranchError
 from pacslab.jaynes import (
     JcParams,
-    jc_conditional_ground,
     jc_evolve_exact,
     jc_evolve_series,
     jc_overlap_curve,
@@ -78,24 +77,24 @@ def test_series_term_budget_rule(beta_t):
 def test_conditional_ground_probability_small_time():
     # prob = (beta_t)^2 (1 + |alpha|^2) + O(beta_t^4); the quartic term is
     # (beta_t)^4 E[(n+1)^2]/3 ~ 1.11e-8 at beta_t = 0.01, alpha = 0.8
-    _, prob = jc_conditional_ground(jc_evolve_exact(JcParams(0.8, 0.01)))
+    _, prob = fock.normalize(jc_evolve_exact(JcParams(0.8, 0.01)).field_g.amp)
     assert prob == pytest.approx(1.64e-4, abs=2e-8)
 
 
 def test_conditional_ground_matches_spacs_at_small_time():
-    cond, _ = jc_conditional_ground(jc_evolve_exact(JcParams(0.8, 0.001)))
+    cond, _ = fock.normalize(jc_evolve_exact(JcParams(0.8, 0.001)).field_g.amp)
     target = pacs_state(PacsSpec(0.8, 1), cond.dim, normalized=True)
     assert abs(fock.inner_product(target, cond)) ** 2 >= 1 - 1e-6
 
 
 def test_conditional_ground_vacuum_seed_gives_one_photon():
-    cond, _ = jc_conditional_ground(jc_evolve_exact(JcParams(0.0, 1.3)))
+    cond, _ = fock.normalize(jc_evolve_exact(JcParams(0.0, 1.3)).field_g.amp)
     assert abs(abs(cond.amp[1]) - 1.0) < 1e-14
 
 
 def test_conditional_ground_empty_branch():
     with pytest.raises(EmptyBranchError):
-        jc_conditional_ground(jc_evolve_exact(JcParams(0.8, 0.0)))
+        fock.normalize(jc_evolve_exact(JcParams(0.8, 0.0)).field_g.amp)
 
 
 def test_expansion_table_band_support():
@@ -161,6 +160,17 @@ def test_overlap_curve_emits_null_markers():
     for p in live:
         assert 0 < p.overlap_modulus <= 1
         assert p.overlap_sq == pytest.approx(p.overlap_modulus**2, rel=1e-12)
+
+
+def test_overlap_curve_tiny_time_keeps_anchors_until_branch_leaves_normal_range():
+    # ground_prob 1.64e-16 is a normal double: the overlaps are the anchors
+    pts = jc_overlap_curve(0.8, [1e-8], [1, 2, 3])
+    for p in pts:
+        assert p.overlap_modulus == pytest.approx(JC_ANCHORS[p.m], abs=1e-4)
+        assert p.ground_prob == pytest.approx(1.64e-16, rel=1e-12)
+    # 1.64e-320 is subnormal: an empty branch, blank overlaps and prob 0
+    (p,) = jc_overlap_curve(0.8, [1e-160], [1])
+    assert (p.overlap_modulus, p.overlap_sq, p.ground_prob) == (None, None, 0.0)
 
 
 def test_overlap_curve_orders_rows_by_grid_then_m():

@@ -68,7 +68,7 @@ def test_overlap_against_ladder_algebra():
 def test_overlap_mixed_amplitudes_unnormalized():
     # <a,1|b,1> = (1 + conj(a) b) <a|b> for coherent a, b
     a, b = 0.8, 0.8 / math.cosh(1.0)
-    got = pacs_overlap(PacsSpec(a, 1), PacsSpec(b, 1), 64, normalized=False)
+    got = fock.inner_product(pacs_state(PacsSpec(a, 1), 64), pacs_state(PacsSpec(b, 1), 64))
     expected = (1 + a * b) * math.exp(a * b - a * a / 2 - b * b / 2)
     assert got.real == pytest.approx(expected, rel=1e-12)
     assert got.imag == pytest.approx(0.0, abs=1e-14)
