@@ -189,6 +189,12 @@ def apply_operator(m: OperatorMatrix, psi: FockVector) -> FockVector:
     return FockVector(m.entries @ psi.amp)
 
 
+def _l2_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a complex vector, the same arithmetic without
+    its Python-level wrapper."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def expm_apply(
     m: OperatorMatrix,
     psi: FockVector,
@@ -215,7 +221,7 @@ def expm_apply(
             term = m.entries @ term
             term /= k * segments
             acc += term
-            if np.linalg.norm(term) <= seg_tol * np.linalg.norm(acc):
+            if _l2_norm(term) <= seg_tol * _l2_norm(acc):
                 break
         else:
             raise NumericalFailureError(

@@ -16,10 +16,7 @@ import numpy as np
 from .errors import EmptyBranchError, NumericalFailureError
 from .fock import (
     FockVector,
-    annihilation_matrix,
-    apply_operator,
     coherent_state,
-    creation_matrix,
     default_dim,
     inner_product,
     normalize,
@@ -29,6 +26,10 @@ from .specialfn import stirling2
 
 BRACKET_VARIANTS = ("with_factorial", "plain")
 BASIS_VARIANTS = ("raw", "normalized")
+# above this the doubles around a Rabi phase are 1 rad apart: cos/sin keep no digit
+RABI_PHASE_MAX = 2.0**52
+# beta_t rows of jc_overlap_curve evaluated together: memory O(CURVE_BLOCK * dim)
+CURVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -67,47 +68,80 @@ def joint_fidelity(a: JointAtomFieldState, b: JointAtomFieldState) -> float:
     return abs(ov) ** 2 / (a.total_norm_sq() * b.total_norm_sq())
 
 
+def _check_rabi_phase(p: JcParams) -> None:
+    """NumericalFailureError once the largest Rabi phase beta_t sqrt(dim) is
+    non-finite or above RABI_PHASE_MAX."""
+    dim = p.resolved_dim()
+    phase = float(p.beta_t) * math.sqrt(dim)
+    if not phase <= RABI_PHASE_MAX:
+        raise NumericalFailureError(
+            f"Rabi phase beta_t*sqrt(dim) = {phase:.3g} at beta_t={p.beta_t}, "
+            f"dim={dim} is beyond 2^52, where adjacent doubles are 1 rad apart"
+        )
+
+
+def _lower_branch(c: np.ndarray, beta_ts) -> np.ndarray:
+    """Lower-level Rabi amplitudes of |alpha>|e>, one row per beta_t:
+    out[k, n+1] = -i c_n sin(beta_ts[k] sqrt(n+1)), out[k, 0] = 0."""
+    lift = np.sqrt(np.arange(1.0, len(c)))
+    rabi = np.multiply.outer(np.asarray(beta_ts, dtype=np.float64), lift)
+    out = np.zeros((len(rabi), len(c)), dtype=np.complex128)
+    out[:, 1:] = -1j * c[:-1] * np.sin(rabi)
+    return out
+
+
 def jc_evolve_exact(p: JcParams) -> JointAtomFieldState:
     """Closed-form resonant Rabi evolution of |alpha>|e>.
 
     field_e[n] = c_n cos(beta_t sqrt(n+1)),
     field_g[n+1] = -i c_n sin(beta_t sqrt(n+1)), field_g[0] = 0.
+    field_g is the one-row case of the Rabi helper that jc_overlap_curve
+    evaluates its grid blocks with.  Raises NumericalFailureError when
+    beta_t sqrt(dim) is non-finite or above 2^52, where the phases keep no
+    correct digit.
     """
+    _check_rabi_phase(p)
     dim = p.resolved_dim()
-    if not math.isfinite(float(p.beta_t) * math.sqrt(dim)):
-        raise NumericalFailureError(f"Rabi phase overflows at beta_t={p.beta_t}")
     c = coherent_state(p.alpha, dim).amp
-    rabi = p.beta_t * np.sqrt(np.arange(1.0, dim + 1))
-    fe = c * np.cos(rabi)
-    fg = np.zeros(dim, dtype=np.complex128)
-    fg[1:] = -1j * c[:-1] * np.sin(rabi[:-1])
+    fe = c * np.cos(p.beta_t * np.sqrt(np.arange(1.0, dim + 1)))
+    (fg,) = _lower_branch(c, [p.beta_t])
     return JointAtomFieldState(FockVector(fe), FockVector(fg))
 
 
 def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     """Partial sums of the evolution-operator power series.
 
-    Terms are built by repeated ladder-operator application: the even powers
-    contribute (a a+)^n |alpha> to the upper branch, the odd powers
-    a+ (a a+)^n |alpha> to the lower one.  Converges to jc_evolve_exact.
+    Terms are built by repeated ladder-operator application, each operator
+    an O(dim) band shift: the even powers contribute (a a+)^n |alpha> to the
+    upper branch, the odd powers a+ (a a+)^n |alpha> to the lower one.
+    Converges to jc_evolve_exact.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     dim = p.resolved_dim()
-    create = creation_matrix(dim)
-    annih = annihilation_matrix(dim)
-    w = coherent_state(p.alpha, dim)
+    lift = np.sqrt(np.arange(1.0, dim))
+
+    def create(v):  # a+ as a band shift, (a+ v)[n] = sqrt(n) v[n-1]
+        out = np.zeros(dim, dtype=np.complex128)
+        out[1:] = lift * v[:-1]
+        return out
+
+    def annihilate(v):  # (a v)[n] = sqrt(n+1) v[n+1]
+        out = np.zeros(dim, dtype=np.complex128)
+        out[:-1] = lift * v[1:]
+        return out
+
+    w = coherent_state(p.alpha, dim).amp
     tau = -1j * p.beta_t
     e_amp = np.zeros(dim, dtype=np.complex128)
     g_amp = np.zeros(dim, dtype=np.complex128)
     coef = 1.0 + 0.0j
     for n in range(n_terms):
         if n > 0:
-            w = apply_operator(annih, apply_operator(create, w))
+            w = annihilate(create(w))
             coef *= tau * tau / ((2 * n - 1) * (2 * n))
-        lifted = apply_operator(create, w)
-        e_term = coef * w.amp
-        g_term = (coef * tau / (2 * n + 1)) * lifted.amp
+        e_term = coef * w
+        g_term = (coef * tau / (2 * n + 1)) * create(w)
         if not (np.all(np.isfinite(e_term)) and np.all(np.isfinite(g_term))):
             raise NumericalFailureError(
                 f"series term {n} non-finite at beta_t={p.beta_t}, dim={dim}; "
@@ -233,6 +267,12 @@ def jc_overlap_curve(
     Both the modulus and its square are reported for every point.  Points
     whose lower-level branch is empty (see fock.normalize) are emitted with
     null overlaps and ground_prob 0.
+
+    Every beta_t is checked first, in grid order, as jc_evolve_exact checks
+    it.  The coherent state and the targets are built once; the lower-level
+    branch comes from the same Rabi helper as jc_evolve_exact, CURVE_BLOCK
+    grid rows at a time, and each row is normalized and overlapped on its
+    own, so every point equals its one-row evaluation.
     """
     beta_t_grid = list(beta_t_grid)
     m_list = list(m_list)
@@ -243,15 +283,19 @@ def jc_overlap_curve(
     targets = {
         m: pacs_state(PacsSpec(alpha, m), dim, normalized=True) for m in m_list
     }
-    points = []
     for bt in beta_t_grid:
-        state = jc_evolve_exact(JcParams(alpha, bt, dim))
-        try:
-            cond, prob = normalize(state.field_g.amp)
-        except EmptyBranchError:
-            points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
-            continue
-        for m in m_list:
-            ov = abs(inner_product(targets[m], cond))
-            points.append(CurvePoint(bt, m, ov, ov * ov, prob))
+        _check_rabi_phase(JcParams(alpha, bt, dim))
+    c = coherent_state(alpha, dim).amp
+    points = []
+    for start in range(0, len(beta_t_grid), CURVE_BLOCK):
+        block = beta_t_grid[start : start + CURVE_BLOCK]
+        for bt, field_g in zip(block, _lower_branch(c, block)):
+            try:
+                cond, prob = normalize(field_g)
+            except EmptyBranchError:
+                points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
+                continue
+            for m in m_list:
+                ov = abs(inner_product(targets[m], cond))
+                points.append(CurvePoint(bt, m, ov, ov * ov, prob))
     return points

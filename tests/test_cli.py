@@ -268,6 +268,9 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
          "dim_b=5 leaves no room for m=7"),
         (["--scenario", "dc-ideal-check", "--dim-b", "5", "--m-list", "0,7"],
          "dim_b=5 leaves no room for m=7"),
+        # Rabi phases beyond 2^52, where cos/sin keep no correct digit
+        (["--scenario", "jc-curve", "--beta", "1e200", "--time", "1e100"], "Rabi phase"),
+        (["--scenario", "jc-curve", "--beta-t", "0:1e16:3"], "Rabi phase"),
         # cosh r and |alpha|^2 beyond the double range
         (["--scenario", "dc-overlap", "--r", "0:800:3"], "overflow"),
         (["--scenario", "dc-pm", "--r", "1e308"], "overflow"),

@@ -99,6 +99,15 @@ def test_ladder_algebra_interior():
     assert np.max(np.abs(diff[: dim - 1])) < 1e-12
 
 
+def test_l2_norm_is_numpy_norm_bitwise():
+    # the expm_apply stop test: np.linalg.norm's arithmetic, not its wrapper
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 17, 64, 513):
+        for scale in (1e-160, 1.0, 1e150):
+            x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            assert fock._l2_norm(x) == np.linalg.norm(x), (n, scale)
+
+
 def test_expm_apply_zero_and_inverse():
     dim = 16
     st = fock.coherent_state(0.5, dim)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pacslab import fock
+from pacslab import fock, jaynes, pacs
 from pacslab.checks import JC_ANCHORS, jc_anchor_moduli, jc_anchors_hold
-from pacslab.errors import EmptyBranchError
+from pacslab.errors import EmptyBranchError, NumericalFailureError
 from pacslab.jaynes import (
+    CURVE_BLOCK,
+    CurvePoint,
     JcParams,
     jc_evolve_exact,
     jc_evolve_series,
@@ -40,6 +42,15 @@ def test_ground_branch_has_no_vacuum_component():
     for beta_t in (0.1, 1.0, 7.0):
         st = jc_evolve_exact(JcParams(0.8, beta_t))
         assert st.field_g.amp[0] == 0.0
+
+
+def test_exact_rejects_rabi_phase_without_correct_digits():
+    # beta_t sqrt(32) = 5.7e13 keeps its phase; 5.7e15 is above 2^52, where
+    # adjacent doubles are 1 rad apart; 1e308 sqrt(32) overflows
+    jc_evolve_exact(JcParams(0.8, 1e13))
+    for beta_t in (1e15, 1e300, 1e308):
+        with pytest.raises(NumericalFailureError, match="Rabi phase"):
+            jc_evolve_exact(JcParams(0.8, beta_t))
 
 
 def test_series_single_term_is_first_order_state():
@@ -184,3 +195,55 @@ def test_overlap_curve_rejects_empty_inputs():
         jc_overlap_curve(0.8, [], [1])
     with pytest.raises(ValueError):
         jc_overlap_curve(0.8, [0.1], [])
+
+
+def _curve_per_point(alpha, grid, ms, dim=None):
+    """The overlap curve one beta_t at a time, from the exact evolution."""
+    dim = fock.default_dim(alpha) if dim is None else dim
+    targets = {m: pacs_state(PacsSpec(alpha, m), dim, normalized=True) for m in ms}
+    points = []
+    for bt in grid:
+        field_g = jc_evolve_exact(JcParams(alpha, bt, dim)).field_g.amp
+        try:
+            cond, prob = fock.normalize(field_g)
+        except EmptyBranchError:
+            points.extend(CurvePoint(bt, m, None, None, 0.0) for m in ms)
+            continue
+        for m in ms:
+            ov = abs(fock.inner_product(targets[m], cond))
+            points.append(CurvePoint(bt, m, ov, ov * ov, prob))
+    return points
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.8, None), (0.6 - 0.9j, None), (1.2, 48)])
+def test_overlap_curve_equals_per_point_evaluation(alpha, dim):
+    # empty branches at 0 and 1e-160, then a grid longer than two blocks
+    grid = [0.0, 1e-160, 1e-8, *np.linspace(1e-3, 170.0, 2 * CURVE_BLOCK + 3)]
+    ms = [1, 3, 2]
+    assert jc_overlap_curve(alpha, grid, ms, dim=dim) == _curve_per_point(alpha, grid, ms, dim)
+
+
+def test_overlap_curve_builds_each_state_once(monkeypatch):
+    calls = {"jaynes": 0, "pacs": 0}
+
+    def spy(name, module):
+        real = module.coherent_state
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "coherent_state", counted)
+
+    spy("jaynes", jaynes)
+    spy("pacs", pacs)
+    jc_overlap_curve(0.8, np.linspace(0.0, 5.0, 3 * CURVE_BLOCK), [1, 2])
+    # one coherent state for the evolution, one per photon-added target
+    assert calls == {"jaynes": 1, "pacs": 2}
+
+
+def test_overlap_curve_checks_every_beta_t_in_grid_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        jc_overlap_curve(0.8, [0.1, -1.0, 1e300], [1])
+    with pytest.raises(NumericalFailureError, match="Rabi phase"):
+        jc_overlap_curve(0.8, [0.1, 1e300, -1.0], [1])
