@@ -189,10 +189,18 @@ def apply_operator(m: OperatorMatrix, psi: FockVector) -> FockVector:
     return FockVector(m.entries @ psi.amp)
 
 
-def _l2_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) of a complex vector, the same arithmetic without
-    its Python-level wrapper."""
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+def _l2_norm(re: np.ndarray, im: np.ndarray) -> float:
+    """np.linalg.norm of the complex vector whose .real and .imag views are
+    ``re`` and ``im``: the same arithmetic without its Python-level wrapper."""
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+# slack of expm_apply's running bound on |acc| and of its one-dot term norm,
+# and the bound above which |acc|^2 may overflow, so the exact norm is taken
+_BOUND_REL = 1.0 + 1e-9
+_BOUND_LOW = 1.0 - 1e-9
+_BOUND_ABS = 2.0**-500
+_BOUND_MAX = 2.0**511
 
 
 def expm_apply(
@@ -213,25 +221,56 @@ def expm_apply(
     norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
     segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
     seg_tol = tol / (2.0 * segments)
-    out = psi.amp.copy()
+    # acc carries one segment's sum into the next; the terms alternate between
+    # two buffers, each kept with its float64, .real and .imag views
+    acc = psi.amp.copy()
+    acc_re, acc_im = acc.real, acc.imag
+    bufs = [np.empty_like(acc), np.empty_like(acc)]
+    bufs = [(t, t.view(np.float64), t.real, t.imag) for t in bufs]
+    # The stop test is |term| <= seg_tol*|acc|, both norms as _l2_norm computes
+    # them.  Between exact tests, ``tf`` = sqrt(term_f.dot(term_f)), one dot
+    # instead of two, stands in for |term|, and ``upper`` bounds |acc|: each
+    # term adds at most |term| to it.  The relative slack covers how the two
+    # term norms, the sums and |acc| round (about dim*u, far below 1e-9), the
+    # absolute slack how norms err once their squares are subnormal (about
+    # sqrt(dim)*2^-537), and below _BOUND_MAX no square sum overflows.  So
+    # tf*(1 - 1e-9) - 2^-500 > seg_tol*upper means |term| > seg_tol*|acc|
+    # (rounding a product by seg_tol > 0 keeps order): the exact test would
+    # fail, and skipping it never changes a stop decision.  A NaN or inf tf
+    # makes upper NaN or inf, and both take the exact test.
+    upper = math.inf
     for _ in range(segments):
-        acc = out.copy()
-        term = out.copy()
+        src = acc
         for k in range(1, max_terms + 1):
-            term = m.entries @ term
-            term /= k * segments
+            term, term_f, term_re, term_im = bufs[k & 1]
+            np.matmul(m.entries, src, out=term)
+            # numpy divides a complex by the real d = k*segments as
+            # ((re + im*0) * (1/d), (im - re*0) * (1/d)): this scaling where
+            # both parts are finite and neither is -0.0, which matmul's sums
+            # from +0 do not give
+            term_f *= 1.0 / (k * segments)
+            tf = math.sqrt(term_f.dot(term_f))
+            if not tf < math.inf:
+                # where one part is inf or NaN, that division makes the other NaN
+                re_bad, im_bad = ~np.isfinite(term_re), ~np.isfinite(term_im)
+                term_re[im_bad] = np.nan
+                term_im[re_bad] = np.nan
+                tf = math.sqrt(term_f.dot(term_f))
             acc += term
-            if _l2_norm(term) <= seg_tol * _l2_norm(acc):
-                break
+            upper = (upper + tf) * _BOUND_REL + _BOUND_ABS
+            if tf * _BOUND_LOW - _BOUND_ABS <= seg_tol * upper or not upper < _BOUND_MAX:
+                upper = _l2_norm(acc_re, acc_im)
+                if _l2_norm(term_re, term_im) <= seg_tol * upper:
+                    break
+            src = term
         else:
             raise NumericalFailureError(
                 f"expm_apply: no convergence in {max_terms} terms per segment "
                 f"(segments={segments}, 1-norm={norm_one:.3e})"
             )
-        out = acc
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(acc)):
         raise NumericalFailureError("expm_apply produced non-finite amplitudes")
-    return FockVector(out)
+    return FockVector(acc)
 
 
 def tensor_product(a: FockVector, b: FockVector) -> TwoModeState:

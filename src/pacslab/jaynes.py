@@ -268,11 +268,12 @@ def jc_overlap_curve(
     whose lower-level branch is empty (see fock.normalize) are emitted with
     null overlaps and ground_prob 0.
 
-    Every beta_t is checked first, in grid order, as jc_evolve_exact checks
-    it.  The coherent state and the targets are built once; the lower-level
-    branch comes from the same Rabi helper as jc_evolve_exact, CURVE_BLOCK
-    grid rows at a time, and each row is normalized and overlapped on its
-    own, so every point equals its one-row evaluation.
+    Every beta_t is checked first, as jc_evolve_exact checks it; the first
+    failing one in grid order raises.  The coherent state and the targets
+    are built once; the lower-level branch comes from the same Rabi helper
+    as jc_evolve_exact, CURVE_BLOCK grid rows at a time, and each row is
+    normalized and overlapped on its own, so every point equals its one-row
+    evaluation.
     """
     beta_t_grid = list(beta_t_grid)
     m_list = list(m_list)
@@ -281,10 +282,19 @@ def jc_overlap_curve(
     if dim is None:
         dim = default_dim(alpha)
     targets = {
-        m: pacs_state(PacsSpec(alpha, m), dim, normalized=True) for m in m_list
+        m: pacs_state(PacsSpec(alpha, m), dim, normalized=True).amp for m in m_list
     }
-    for bt in beta_t_grid:
-        _check_rabi_phase(JcParams(alpha, bt, dim))
+    grid = np.asarray(beta_t_grid)
+    if grid.ndim == 1 and grid.dtype.kind in "biuf":
+        # the checks of JcParams and _check_rabi_phase in one pass; only the
+        # first failing beta_t goes through them, to raise their error
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (grid >= 0) & (grid * math.sqrt(dim) <= RABI_PHASE_MAX)
+        suspects = np.flatnonzero(~ok)[:1]
+    else:  # complex, str or object elements: check each as JcParams does
+        suspects = range(len(beta_t_grid))
+    for i in suspects:
+        _check_rabi_phase(JcParams(alpha, beta_t_grid[i], dim))
     c = coherent_state(alpha, dim).amp
     points = []
     for start in range(0, len(beta_t_grid), CURVE_BLOCK):
@@ -296,6 +306,7 @@ def jc_overlap_curve(
                 points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
                 continue
             for m in m_list:
-                ov = abs(inner_product(targets[m], cond))
+                # inner_product's arithmetic; both vectors have dim entries
+                ov = abs(complex(np.vdot(targets[m], cond.amp)))
                 points.append(CurvePoint(bt, m, ov, ov * ov, prob))
     return points

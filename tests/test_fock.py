@@ -105,7 +105,7 @@ def test_l2_norm_is_numpy_norm_bitwise():
     for n in (1, 2, 17, 64, 513):
         for scale in (1e-160, 1.0, 1e150):
             x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-            assert fock._l2_norm(x) == np.linalg.norm(x), (n, scale)
+            assert fock._l2_norm(x.real, x.imag) == np.linalg.norm(x), (n, scale)
 
 
 def test_expm_apply_zero_and_inverse():
@@ -166,6 +166,130 @@ def test_expm_apply_reports_non_convergence():
     v = fock.FockVector(np.ones(4, dtype=np.complex128))
     with pytest.raises(NumericalFailureError, match="no convergence in 5 terms"):
         fock.expm_apply(m, v, tol=1e-14, max_terms=5)
+
+
+def _expm_apply_reference(m, psi, tol, max_terms=fock.EXPM_MAX_TERMS):
+    """expm_apply's Taylor loop before its term buffers and its running bound
+    on |acc|: a new term per step, complex division, both norms every term."""
+
+    def norm(x):
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+    norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
+    segments = max(1, int(math.ceil(norm_one / 16.0)))
+    seg_tol = tol / (2.0 * segments)
+    out = psi.amp.copy()
+    for _ in range(segments):
+        acc = out.copy()
+        term = out.copy()
+        for k in range(1, max_terms + 1):
+            term = m.entries @ term
+            term /= k * segments
+            acc += term
+            if norm(term) <= seg_tol * norm(acc):
+                break
+        else:
+            raise NumericalFailureError(
+                f"expm_apply: no convergence in {max_terms} terms per segment "
+                f"(segments={segments}, 1-norm={norm_one:.3e})"
+            )
+        out = acc
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError("expm_apply produced non-finite amplitudes")
+    return fock.FockVector(out)
+
+
+def _expm_cases():
+    """(generator, state, tol, max_terms) covering the library's calls and
+    the edges of the stop test."""
+    rng = np.random.default_rng(12)
+    ref = _expm_apply_reference
+    cases = []
+
+    def both_ways(gen, st, tol=1e-12):
+        there = ref(fock.OperatorMatrix(gen), fock.FockVector(st), tol)
+        cases.extend([(gen, st, tol, None), (-gen, there.amp, tol, None)])
+
+    number = fock.number_matrix
+    for dim in (32, 48, 64, 96):  # seeded phase rotations and their inverses
+        theta, alpha = rng.uniform(0.1, 6.3), rng.uniform(0.5, 1.5)
+        both_ways(-1j * theta * number(dim).entries, fock.coherent_state(alpha, dim).amp)
+    both_ways(-0.7j * number(32).entries, fock.coherent_state(0.8, 32).amp)  # verify's
+    for alpha in (0.0, 0.6 - 0.9j):
+        both_ways(-1.3j * number(40).entries, fock.coherent_state(alpha, 40).amp)
+    for scale in (0.4, 3.0):  # dense, one segment and several
+        gen = scale * (rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20)))
+        both_ways(gen, rng.normal(size=20) + 1j * rng.normal(size=20), tol=1e-13)
+    for theta in (0.3, 1.7, 4.0):  # Hermitian
+        h = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+        both_ways(-1j * theta * (h + h.conj().T) / 2, fock.coherent_state(0.7, 20, 1e-8).amp)
+    for scale in (1e-160, 1e150):  # subnormal and near-overflow square sums
+        both_ways(-0.9j * number(48).entries, scale * fock.coherent_state(1.1, 48).amp)
+        gen = 2.5 * (rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))
+        cases.append((gen, scale * (rng.normal(size=24) + 1j * rng.normal(size=24)), 1e-12, None))
+    for tol in (1e-6, 1e-14, 1e-300):
+        cases.append((-2.0j * number(32).entries, fock.coherent_state(1.0, 32).amp, tol, None))
+    # c*I keeps every term parallel to acc, so its norm adds to |acc| with no
+    # room to spare; each case fails when a slack of the skipped |acc| test
+    # is dropped: the 2^511 ceiling, the 2^-500 absolute part (the squares
+    # are subnormal), both 1e-9 relative parts (tol found by search)
+    cases.append((0.5 * np.eye(2), np.full(2, 6e153), 1e-12, None))
+    cases.append((0.8 * np.eye(1), np.full(1, 7e-162), 0.3, None))
+    cases.append(
+        (0.9903934502657463 * np.eye(2), np.array([0.09540006105869184, 0.04011050803557953]),
+         0.005902156367231102, None)
+    )
+    # no convergence: too few terms, a term that overflows, a NaN state
+    cases.append((30.0 * np.eye(8), fock.fock_state(0, 8).amp, 1e-14, 3))
+    cases.append((50.0 * np.eye(4), np.ones(4), 1e-14, 5))
+    cases.append((16.0 * np.eye(4), 1e308 * fock.fock_state(0, 4).amp, 1e-12, None))
+    cases.append((-1j * number(4).entries, np.array([0.5, np.nan, 0, 0]), 1e-12, None))
+    return cases
+
+
+def _expm_outcome(fn, gen, st, tol, max_terms):
+    kwargs = {} if max_terms is None else {"max_terms": max_terms}
+    try:
+        with np.errstate(all="ignore"):
+            return fn(fock.OperatorMatrix(gen), fock.FockVector(st), tol, **kwargs).amp.tobytes()
+    except NumericalFailureError as exc:
+        return str(exc)
+
+
+def test_expm_apply_bitwise_equals_reference_loop():
+    outcomes = []
+    for case in _expm_cases():
+        got = _expm_outcome(fock.expm_apply, *case)
+        assert got == _expm_outcome(_expm_apply_reference, *case), case[2:]
+        outcomes.append(got)
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert errors == [
+        "expm_apply: no convergence in 160 terms per segment (segments=4, 1-norm=6.200e+01)",
+        "expm_apply: no convergence in 3 terms per segment (segments=2, 1-norm=3.000e+01)",
+        "expm_apply: no convergence in 5 terms per segment (segments=4, 1-norm=5.000e+01)",
+        "expm_apply: no convergence in 160 terms per segment (segments=1, 1-norm=1.600e+01)",
+        "expm_apply: no convergence in 160 terms per segment (segments=1, 1-norm=3.000e+00)",
+    ]
+
+
+@pytest.mark.parametrize("rate", [16.0, 16.0j])
+def test_expm_apply_sets_nan_beside_inf_as_complex_division_does(monkeypatch, rate):
+    # OpenBLAS's zgemv scales by alpha = 1 + 0j, so an inf part of a product
+    # already comes with NaN beside it; a product without that step leaves
+    # (inf, 0) or (0, inf), where complex division by k gives NaN for the 0
+    def product(a, b, out):
+        return np.einsum("ij,j->i", a, b, out=out)
+
+    m = fock.OperatorMatrix(rate * np.eye(4))
+    st = fock.FockVector(1e308 * fock.fock_state(0, 4).amp)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailureError) as ref:
+            _expm_apply_reference(m, st, 1e-12)
+        monkeypatch.setattr(np, "matmul", product)
+        with pytest.raises(NumericalFailureError) as got:
+            fock.expm_apply(m, st, 1e-12)
+    assert str(got.value) == str(ref.value)
+    assert "no convergence in 160 terms" in str(ref.value)
 
 
 def test_tensor_and_project_roundtrip():

@@ -242,8 +242,51 @@ def test_overlap_curve_builds_each_state_once(monkeypatch):
     assert calls == {"jaynes": 1, "pacs": 2}
 
 
+def _first_exact_error(alpha, grid):
+    """The error jc_evolve_exact raises at the first beta_t it rejects."""
+    for bt in grid:
+        try:
+            jc_evolve_exact(JcParams(alpha, bt))
+        except (ValueError, NumericalFailureError) as exc:
+            return exc
+    raise AssertionError(f"no beta_t of {grid} is rejected")
+
+
 def test_overlap_curve_checks_every_beta_t_in_grid_order():
+    # the whole grid is checked in one pass, which warns of no overflow or NaN
+    # (warnings are errors in this suite); the first failing beta_t raises
+    # what jc_evolve_exact raises for it
+    cases = [
+        ([0.1, -1.0, 1e300], ValueError),
+        ([0.1, 1e300, -1.0], NumericalFailureError),
+        ([0.1, math.nan, -1.0], NumericalFailureError),
+        ([0.1, math.inf], NumericalFailureError),
+        ([-math.inf, math.nan], ValueError),
+        ([0.1, 1e308], NumericalFailureError),  # beta_t*sqrt(dim) overflows
+        ([-0.0, 0.2, -1e-300], ValueError),
+    ]
+    for grid, kind in cases:
+        expected = _first_exact_error(0.8, grid)
+        assert type(expected) is kind
+        for as_given in (grid, np.array(grid)):
+            with pytest.raises(kind) as exc:
+                jc_overlap_curve(0.8, as_given, [1])
+            assert str(exc.value) == str(expected)
+    # a grid numpy cannot check as reals goes through JcParams point by point
+    with pytest.raises(TypeError, match="'<' not supported"):
+        jc_overlap_curve(0.8, [0.1, 1j, -1.0], [1])
+
+
+def test_overlap_curve_builds_params_only_for_the_first_failing_beta_t(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return JcParams(*args)
+
+    monkeypatch.setattr(jaynes, "JcParams", counted)
+    jc_overlap_curve(0.8, np.linspace(0.0, 5.0, 3 * CURVE_BLOCK), [1, 2])
+    assert built == []
     with pytest.raises(ValueError, match="nonnegative"):
-        jc_overlap_curve(0.8, [0.1, -1.0, 1e300], [1])
-    with pytest.raises(NumericalFailureError, match="Rabi phase"):
-        jc_overlap_curve(0.8, [0.1, 1e300, -1.0], [1])
+        jc_overlap_curve(0.8, [0.1, -1.0, 0.2, -2.0], [1])
+    assert built == [(0.8, -1.0, 32)]
