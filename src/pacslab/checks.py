@@ -88,7 +88,7 @@ def pm_rows(alpha: complex, rs, ms, tol: float, dim_a=None, dim_b=None) -> list:
         for m in ms:
             closed = dc.p_m(alpha, r, m)
             col = state.amp[:, m]
-            numeric = float(np.vdot(col, col).real)
+            numeric = fock.vdot(col, col).real
             rows.append(
                 {
                     "r": r,

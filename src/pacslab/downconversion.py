@@ -19,6 +19,7 @@ from .fock import (
     TwoModeState,
     coherent_state,
     coherent_tail_mass,
+    create,
     default_dim,
     fock_state,
     inner_product,
@@ -86,18 +87,16 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
         )
     amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
     amp[:, 0] = col
-    lift = np.sqrt(np.arange(1.0, p.dim_a))
     for n in range(1, p.dim_b):
-        shifted = np.zeros(p.dim_a, dtype=np.complex128)
-        shifted[1:] = lift * col[:-1]
-        col = (z / math.sqrt(n)) * shifted
+        col = (z / math.sqrt(n)) * create(col)
         amp[:, n] = col
-    deficit = abs(1.0 - float(np.vdot(amp, amp).real))
+    state = TwoModeState(amp)
+    deficit = abs(1.0 - state.norm_sq())
     if deficit > norm_tol:
         raise TruncationError(
             f"dims ({p.dim_a}, {p.dim_b}) leave closed-form norm short of 1", deficit
         )
-    return TwoModeState(amp)
+    return state
 
 
 def _pair_chains(n_chains: int, dim_a: int, dim_b: int, scale: float):

@@ -40,7 +40,7 @@ class FockVector:
         return self.amp.shape[0]
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amp, self.amp).real)
+        return vdot(self.amp, self.amp).real
 
 
 @dataclass(eq=False)
@@ -83,7 +83,7 @@ class TwoModeState:
         return self.amp.shape[1]
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amp, self.amp).real)
+        return vdot(self.amp, self.amp).real
 
 
 def default_dim(alpha: complex) -> int:
@@ -92,14 +92,48 @@ def default_dim(alpha: complex) -> int:
     return max(32, int(math.ceil(a * a + 8.0 * a + 16.0)))
 
 
-def annihilation_matrix(dim: int) -> OperatorMatrix:
-    """Ladder matrix with entries[n-1, n] = sqrt(n)."""
+# sqrt(1), sqrt(2), ... for the largest dim asked for so far; each band views
+# its head, as a block kept per dim fragments the heap (+1 MB peak RSS)
+_SQRT_N = np.zeros(0)
+
+
+def ladder(dim: int) -> np.ndarray:
+    """The read-only ladder band sqrt(1..dim-1)."""
+    global _SQRT_N
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    ns = np.arange(1, dim)
-    m[ns - 1, ns] = np.sqrt(ns)
-    return OperatorMatrix(m)
+    band = _SQRT_N
+    if len(band) < dim - 1:
+        band = np.sqrt(np.arange(1.0, dim))
+        band.flags.writeable = False
+        _SQRT_N = band
+    return band[: dim - 1]
+
+
+def create(amp: np.ndarray) -> np.ndarray:
+    """a+ as a band shift: (a+ amp)[n] = sqrt(n) amp[n-1], truncated at dim."""
+    out = np.zeros(len(amp), np.complex128)
+    out[1:] = ladder(len(amp)) * amp[:-1]
+    return out
+
+
+def annihilate(amp: np.ndarray) -> np.ndarray:
+    """a as a band shift: (a amp)[n] = sqrt(n+1) amp[n+1]."""
+    out = np.zeros(len(amp), np.complex128)
+    out[:-1] = ladder(len(amp)) * amp[1:]
+    return out
+
+
+def vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum conj(a) b over two arrays of one shape: every norm, overlap and moment."""
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"dims differ: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+def annihilation_matrix(dim: int) -> OperatorMatrix:
+    """Ladder matrix with entries[n-1, n] = sqrt(n)."""
+    return OperatorMatrix(np.diag(ladder(dim), 1))
 
 
 def creation_matrix(dim: int) -> OperatorMatrix:
@@ -157,17 +191,12 @@ def fock_state(n: int, dim: int) -> FockVector:
 
 def inner_product(psi: FockVector, phi: FockVector) -> complex:
     """<psi|phi> = sum conj(psi[n]) phi[n]."""
-    if psi.dim != phi.dim:
-        raise DimensionMismatchError(f"dims differ: {psi.dim} vs {phi.dim}")
-    return complex(np.vdot(psi.amp, phi.amp))
+    return vdot(psi.amp, phi.amp)
 
 
 def fidelity(psi: FockVector | TwoModeState, phi: FockVector | TwoModeState) -> float:
     """|<psi|phi>|^2 between the normalized states, single- or two-mode."""
-    if psi.amp.shape != phi.amp.shape:
-        raise DimensionMismatchError(f"dims differ: {psi.amp.shape} vs {phi.amp.shape}")
-    ov = complex(np.vdot(psi.amp, phi.amp))
-    return abs(ov) ** 2 / (psi.norm_sq() * phi.norm_sq())
+    return abs(vdot(psi.amp, phi.amp)) ** 2 / (psi.norm_sq() * phi.norm_sq())
 
 
 def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
@@ -177,7 +206,7 @@ def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
     |amp|^2 is below the smallest normal double, where the normalized state
     loses digits.  |amp|^2 is taken from ``amp`` as given, strided views too.
     """
-    prob = float(np.vdot(amp, amp).real)
+    prob = vdot(amp, amp).real
     if prob < sys.float_info.min:
         raise EmptyBranchError(f"branch probability {prob:.3g} is below the normal range")
     return FockVector(amp / math.sqrt(prob)), prob
@@ -294,6 +323,6 @@ def number_moments(psi: FockVector) -> tuple[float, float]:
     p = np.abs(psi.amp) ** 2
     p = p / p.sum()
     ns = np.arange(psi.dim)
-    mean = float(np.dot(p, ns))
-    var = float(np.dot(p, (ns - mean) ** 2))
+    mean = vdot(p, ns).real
+    var = vdot(p, (ns - mean) ** 2).real
     return mean, var

@@ -16,10 +16,14 @@ import numpy as np
 from .errors import EmptyBranchError, NumericalFailureError
 from .fock import (
     FockVector,
+    annihilate,
     coherent_state,
+    create,
     default_dim,
     inner_product,
+    ladder,
     normalize,
+    vdot,
 )
 from .pacs import PacsSpec, pacs_norm_sq, pacs_state
 from .specialfn import stirling2
@@ -83,8 +87,7 @@ def _check_rabi_phase(p: JcParams) -> None:
 def _lower_branch(c: np.ndarray, beta_ts) -> np.ndarray:
     """Lower-level Rabi amplitudes of |alpha>|e>, one row per beta_t:
     out[k, n+1] = -i c_n sin(beta_ts[k] sqrt(n+1)), out[k, 0] = 0."""
-    lift = np.sqrt(np.arange(1.0, len(c)))
-    rabi = np.multiply.outer(np.asarray(beta_ts, dtype=np.float64), lift)
+    rabi = np.multiply.outer(np.asarray(beta_ts, dtype=np.float64), ladder(len(c)))
     out = np.zeros((len(rabi), len(c)), dtype=np.complex128)
     out[:, 1:] = -1j * c[:-1] * np.sin(rabi)
     return out
@@ -103,7 +106,7 @@ def jc_evolve_exact(p: JcParams) -> JointAtomFieldState:
     _check_rabi_phase(p)
     dim = p.resolved_dim()
     c = coherent_state(p.alpha, dim).amp
-    fe = c * np.cos(p.beta_t * np.sqrt(np.arange(1.0, dim + 1)))
+    fe = c * np.cos(p.beta_t * ladder(dim + 1))
     (fg,) = _lower_branch(c, [p.beta_t])
     return JointAtomFieldState(FockVector(fe), FockVector(fg))
 
@@ -112,25 +115,13 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     """Partial sums of the evolution-operator power series.
 
     Terms are built by repeated ladder-operator application, each operator
-    an O(dim) band shift: the even powers contribute (a a+)^n |alpha> to the
-    upper branch, the odd powers a+ (a a+)^n |alpha> to the lower one.
-    Converges to jc_evolve_exact.
+    an O(dim) band shift (fock.create, fock.annihilate): the even powers
+    contribute (a a+)^n |alpha> to the upper branch, the odd powers
+    a+ (a a+)^n |alpha> to the lower one.  Converges to jc_evolve_exact.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     dim = p.resolved_dim()
-    lift = np.sqrt(np.arange(1.0, dim))
-
-    def create(v):  # a+ as a band shift, (a+ v)[n] = sqrt(n) v[n-1]
-        out = np.zeros(dim, dtype=np.complex128)
-        out[1:] = lift * v[:-1]
-        return out
-
-    def annihilate(v):  # (a v)[n] = sqrt(n+1) v[n+1]
-        out = np.zeros(dim, dtype=np.complex128)
-        out[:-1] = lift * v[1:]
-        return out
-
     w = coherent_state(p.alpha, dim).amp
     tau = -1j * p.beta_t
     e_amp = np.zeros(dim, dtype=np.complex128)
@@ -217,23 +208,24 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     ]
 
     fidelities = {}
-    best = None
     for bracket in BRACKET_VARIANTS:
+        weights = [None] + [
+            norms[m]
+            * sum(
+                prefs[n] * _expansion_weight(n, m, p.alpha, bracket)
+                for n in range(n_max + 1)
+            )
+            for m in range(1, m_max + 1)
+        ]
         for basis in BASIS_VARIANTS:
             rec = np.zeros(dim, dtype=np.complex128)
             for m in range(1, m_max + 1):
                 ket = kets_raw[m] if basis == "raw" else kets_raw[m] / norms[m]
-                weight = norms[m] * sum(
-                    prefs[n] * _expansion_weight(n, m, p.alpha, bracket)
-                    for n in range(n_max + 1)
-                )
-                rec += weight * ket
-            name = f"{bracket}+{basis}"
+                rec += weights[m] * ket
             vec = FockVector(rec)
             fid = abs(inner_product(oracle, vec)) ** 2 / vec.norm_sq()
-            fidelities[name] = fid
-            if best is None or fid > fidelities[best]:
-                best = name
+            fidelities[f"{bracket}+{basis}"] = fid
+    best = max(fidelities, key=fidelities.get)  # the first of equal fidelities
 
     return MpacsExpansion(
         table=table,
@@ -306,7 +298,6 @@ def jc_overlap_curve(
                 points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
                 continue
             for m in m_list:
-                # inner_product's arithmetic; both vectors have dim entries
-                ov = abs(complex(np.vdot(targets[m], cond.amp)))
+                ov = abs(vdot(targets[m], cond.amp))
                 points.append(CurvePoint(bt, m, ov, ov * ov, prob))
     return points

@@ -9,14 +9,13 @@ are exposed because downstream expansions need to select a convention.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import TruncationError
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockVector,
     coherent_state,
     coherent_tail_mass,
+    create,
     inner_product,
     normalize,
 )
@@ -51,11 +50,8 @@ def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector
         raise TruncationError(
             f"dim={dim} too small for pacs(alpha={spec.alpha}, m={spec.m})", tail
         )
-    lift = np.sqrt(np.arange(1.0, dim))
     for _ in range(spec.m):
-        shifted = np.zeros(dim, dtype=np.complex128)
-        shifted[1:] = lift * amp[:-1]
-        amp = shifted
+        amp = create(amp)
     return normalize(amp)[0] if normalized else FockVector(amp)
 
 

@@ -51,8 +51,11 @@ def test_criterion_02_factorization_closed_vs_numeric():
         2,
         "pair-propagator-factorization",
         ok,
-        f"max fidelity deficit {worst:.2e}, grid {elapsed:.1f}s, dims up to {biggest}",
+        f"max fidelity deficit {worst:.2e}, dims up to {biggest}",
     )
+    # the wall time varies run to run, so it stays off the ACCEPTANCE line
+    # and two trees' lines compare as plain text
+    print(f"criterion 02 grid {elapsed:.1f}s (gate 60 s)")
     assert worst <= 1e-8
     assert elapsed < 60.0
 

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,51 @@ def test_ladder_algebra_interior():
     right = fock.apply_operator(c, fock.apply_operator(a, st)).amp
     diff = left - right - st.amp
     assert np.max(np.abs(diff[: dim - 1])) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 32])
+def test_band_shifts_equal_dense_ladder_matrices(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        st = fock.FockVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        lifted = fock.apply_operator(fock.creation_matrix(dim), st).amp
+        lowered = fock.apply_operator(fock.annihilation_matrix(dim), st).amp
+        assert np.array_equal(fock.create(st.amp), lifted)
+        assert np.array_equal(fock.annihilate(st.amp), lowered)
+
+
+def test_ladder_band_is_read_only():
+    for dim in (6, 1, 40, 3):
+        band = fock.ladder(dim)
+        assert band.tobytes() == np.sqrt(np.arange(1.0, dim)).tobytes()
+        with pytest.raises(ValueError):
+            band[:] = 2.0
+    with pytest.raises(ValueError):
+        fock.ladder(0)
+
+
+def test_vdot_rejects_mismatched_shapes():
+    assert fock.vdot(np.array([1j, 2.0]), np.array([1j, 1.0])) == 3.0
+    with pytest.raises(DimensionMismatchError):
+        fock.vdot(np.zeros(3, complex), np.zeros(4, complex))
+    # same size, other shape: np.vdot alone would flatten both and sum
+    with pytest.raises(DimensionMismatchError):
+        fock.vdot(np.zeros((2, 3), complex), np.zeros((3, 2), complex))
+
+
+def test_only_fock_sums_amplitudes():
+    # the amplitude sum and the ladder band have one home, fock.py: a
+    # reduction or band written elsewhere would escape fock.vdot/fock.ladder
+    src = Path(fock.__file__).parent
+    pattern = re.compile(r"np\.v?dot\b|\.dot\(|np\.sqrt\(np\.arange\(")
+    offenders = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "fock.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not offenders, offenders
 
 
 def test_l2_norm_is_numpy_norm_bitwise():
