@@ -124,11 +124,26 @@ def annihilate(amp: np.ndarray) -> np.ndarray:
     return out
 
 
+def vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum conj(a) b over the last axis, broadcast over the leading axes: every
+    norm, overlap and moment, one row or a stack of rows at a time.
+
+    np.vecdot calls the BLAS zdotc per row that np.vdot calls on a whole
+    array, so each row sums bit for bit as np.vdot sums it, strided views too.
+    Unlike np.vdot, it reports overflow and invalid values as numpy warnings.
+    """
+    return np.vecdot(a, b)
+
+
 def vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """sum conj(a) b over two arrays of one shape: every norm, overlap and moment."""
+    """vdot_rows of two arrays of one shape, each taken whole as one row.
+
+    The rows are reshaped, not ravelled: a strided column stays a view, as in
+    np.vdot, since BLAS sums a strided row in another order than a copy.
+    """
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dims differ: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    return complex(vdot_rows(a.reshape(-1), b.reshape(-1)))
 
 
 def annihilation_matrix(dim: int) -> OperatorMatrix:
@@ -199,17 +214,30 @@ def fidelity(psi: FockVector | TwoModeState, phi: FockVector | TwoModeState) -> 
     return abs(vdot(psi.amp, phi.amp)) ** 2 / (psi.norm_sq() * phi.norm_sq())
 
 
-def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
-    """Normalized state of a measurement branch and its probability |amp|^2.
+def normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row (last axis) of a stack of measurement branches normalized,
+    its probability |row|^2, and whether the branch is empty; a 1-d ``amps``
+    is one branch and gives scalars.
 
-    The one place that decides a branch is empty: EmptyBranchError when
-    |amp|^2 is below the smallest normal double, where the normalized state
-    loses digits.  |amp|^2 is taken from ``amp`` as given, strided views too.
+    The one place that decides a branch is empty: when |row|^2 is below the
+    smallest normal double, where the normalized state loses digits.  An
+    empty row is not normalized: it is divided by sqrt of that double, which
+    keeps it finite.  |row|^2 is taken from ``amps`` as given, strided views
+    too.
     """
-    prob = vdot(amp, amp).real
-    if prob < sys.float_info.min:
+    probs = vdot_rows(amps, amps).real
+    # complex division by the real sqrt, as one branch was always divided
+    roots = np.sqrt(np.maximum(probs, sys.float_info.min))
+    return amps / roots[..., None], probs, probs < sys.float_info.min
+
+
+def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
+    """Normalized state of one measurement branch and its probability |amp|^2
+    (normalize_rows of one row).  EmptyBranchError for an empty branch."""
+    unit, prob, empty = normalize_rows(amp)
+    if empty:
         raise EmptyBranchError(f"branch probability {prob:.3g} is below the normal range")
-    return FockVector(amp / math.sqrt(prob)), prob
+    return FockVector(unit), float(prob)
 
 
 def apply_operator(m: OperatorMatrix, psi: FockVector) -> FockVector:
@@ -222,6 +250,18 @@ def _l2_norm(re: np.ndarray, im: np.ndarray) -> float:
     """np.linalg.norm of the complex vector whose .real and .imag views are
     ``re`` and ``im``: the same arithmetic without its Python-level wrapper."""
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _one_rounding_diagonal(entries: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``entries`` when every product with it rounds once, as
+    in zgemv: no nonzero entry off the diagonal, and none on it with both a
+    nonzero real and a nonzero imaginary part.  None otherwise."""
+    diag = np.diagonal(entries)
+    if np.count_nonzero(entries) != np.count_nonzero(diag):
+        return None
+    if np.any((diag.real != 0) & (diag.imag != 0)):
+        return None
+    return diag
 
 
 # slack of expm_apply's running bound on |acc| and of its one-dot term norm,
@@ -242,6 +282,8 @@ def expm_apply(
 
     Deterministic for fixed inputs; relative accuracy ~tol.  Raises
     NumericalFailureError when a segment fails to converge in ``max_terms``.
+    A generator such as -i theta N, diagonal with real or imaginary entries,
+    is applied elementwise; its terms equal the dense product's bit for bit.
     """
     if m.dim != psi.dim:
         raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
@@ -250,6 +292,7 @@ def expm_apply(
     norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
     segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
     seg_tol = tol / (2.0 * segments)
+    diag = _one_rounding_diagonal(m.entries)
     # acc carries one segment's sum into the next; the terms alternate between
     # two buffers, each kept with its float64, .real and .imag views
     acc = psi.amp.copy()
@@ -272,11 +315,15 @@ def expm_apply(
         src = acc
         for k in range(1, max_terms + 1):
             term, term_f, term_re, term_im = bufs[k & 1]
-            np.matmul(m.entries, src, out=term)
+            if diag is None:
+                np.matmul(m.entries, src, out=term)
+            else:
+                # zgemv sums each row from +0, and +0 + -0.0 is +0
+                np.multiply(diag, src, out=term)
+                term += 0.0
             # numpy divides a complex by the real d = k*segments as
             # ((re + im*0) * (1/d), (im - re*0) * (1/d)): this scaling where
-            # both parts are finite and neither is -0.0, which matmul's sums
-            # from +0 do not give
+            # both parts are finite and neither is -0.0, as both products give
             term_f *= 1.0 / (k * segments)
             tf = math.sqrt(term_f.dot(term_f))
             if not tf < math.inf:

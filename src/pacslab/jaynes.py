@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBranchError, NumericalFailureError
+from .errors import NumericalFailureError
 from .fock import (
     FockVector,
     annihilate,
@@ -23,7 +23,8 @@ from .fock import (
     inner_product,
     ladder,
     normalize,
-    vdot,
+    normalize_rows,
+    vdot_rows,
 )
 from .pacs import PacsSpec, pacs_norm_sq, pacs_state
 from .specialfn import stirling2
@@ -263,9 +264,10 @@ def jc_overlap_curve(
     Every beta_t is checked first, as jc_evolve_exact checks it; the first
     failing one in grid order raises.  The coherent state and the targets
     are built once; the lower-level branch comes from the same Rabi helper
-    as jc_evolve_exact, CURVE_BLOCK grid rows at a time, and each row is
-    normalized and overlapped on its own, so every point equals its one-row
-    evaluation.
+    as jc_evolve_exact, CURVE_BLOCK grid rows at a time.  Each block is
+    normalized and overlapped with every target by the row-wise fock
+    reductions, which sum each row as its one-row evaluation does, so every
+    point equals its one-row evaluation.
     """
     beta_t_grid = list(beta_t_grid)
     m_list = list(m_list)
@@ -273,9 +275,9 @@ def jc_overlap_curve(
         raise ValueError("beta_t grid and m list must be nonempty")
     if dim is None:
         dim = default_dim(alpha)
-    targets = {
-        m: pacs_state(PacsSpec(alpha, m), dim, normalized=True).amp for m in m_list
-    }
+    targets = np.array(
+        [pacs_state(PacsSpec(alpha, m), dim, normalized=True).amp for m in m_list]
+    )
     grid = np.asarray(beta_t_grid)
     if grid.ndim == 1 and grid.dtype.kind in "biuf":
         # the checks of JcParams and _check_rabi_phase in one pass; only the
@@ -291,13 +293,14 @@ def jc_overlap_curve(
     points = []
     for start in range(0, len(beta_t_grid), CURVE_BLOCK):
         block = beta_t_grid[start : start + CURVE_BLOCK]
-        for bt, field_g in zip(block, _lower_branch(c, block)):
-            try:
-                cond, prob = normalize(field_g)
-            except EmptyBranchError:
+        conds, probs, empty = normalize_rows(_lower_branch(c, block))
+        overlaps = vdot_rows(targets, conds[:, None, :])  # [row, m]
+        rows = zip(block, probs.tolist(), empty.tolist(), overlaps.tolist())
+        for bt, prob, blank, row in rows:
+            if blank:
                 points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
                 continue
-            for m in m_list:
-                ov = abs(vdot(targets[m], cond.amp))
-                points.append(CurvePoint(bt, m, ov, ov * ov, prob))
+            for m, ov in zip(m_list, row):
+                mod = abs(ov)  # Python's complex abs: np.abs rounds differently
+                points.append(CurvePoint(bt, m, mod, mod * mod, prob))
     return points

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,11 +133,68 @@ def test_vdot_rejects_mismatched_shapes():
         fock.vdot(np.zeros((2, 3), complex), np.zeros((3, 2), complex))
 
 
+def _vdot_rows_mismatches(seed=0):
+    """Where fock.vdot_rows differs in any bit from fock.vdot and np.vdot row
+    by row: stacks, (M, dim) targets against a (64, 1, dim) block as the
+    overlap curve passes them, and strided columns."""
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def differs(got, rows_a, rows_b):
+        pairs = list(zip(rows_a, rows_b))
+        per_row = np.array([fock.vdot(a, b) for a, b in pairs], dtype=np.complex128)
+        blas = np.array([np.vdot(a, b) for a, b in pairs], dtype=np.complex128)
+        flat = got.reshape(-1)
+        return flat.tobytes() != per_row.tobytes() or flat.tobytes() != blas.tobytes()
+
+    rng = np.random.default_rng(seed)
+    bad = []
+    for dim in (1, 7, 32, 97):
+        for scale in (1e-150, 1.0, 1e150):
+            stack = scale * cplx(64, dim)
+            targets = cplx(3, dim)
+            if differs(fock.vdot_rows(stack, stack), stack, stack):
+                bad.append(("stack", dim, scale))
+            got = fock.vdot_rows(targets, stack[:, None, :])
+            rows_t = [t for _ in stack for t in targets]
+            rows_s = [row for row in stack for _ in targets]
+            if got.shape != (64, 3) or differs(got, rows_t, rows_s):
+                bad.append(("broadcast", dim, scale))
+            grid = scale * cplx(dim, 5)  # rows of grid.T are strided columns
+            cols = [grid[:, j] for j in range(5)]
+            if differs(fock.vdot_rows(grid.T, grid.T), cols, cols):
+                bad.append(("columns", dim, scale))
+    return bad
+
+
+def test_vdot_rows_equals_per_row_vdot_bitwise():
+    assert _vdot_rows_mismatches() == []
+
+
+def test_vdot_rows_equals_per_row_vdot_bitwise_on_other_blas_kernels():
+    # a single-threaded, generic-kernel OpenBLAS: the rows still sum as
+    # np.vdot sums them there
+    here = Path(__file__).resolve().parent
+    path = [str(here), str(Path(fock.__file__).resolve().parents[1])]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(path),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_CORETYPE": "Prescott",
+    }
+    code = "import test_fock; print(test_fock._vdot_rows_mismatches(1))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_only_fock_sums_amplitudes():
     # the amplitude sum and the ladder band have one home, fock.py: a
     # reduction or band written elsewhere would escape fock.vdot/fock.ladder
     src = Path(fock.__file__).parent
-    pattern = re.compile(r"np\.v?dot\b|\.dot\(|np\.sqrt\(np\.arange\(")
+    pattern = re.compile(r"np\.v?dot\b|\.dot\(|vecdot\(|np\.sqrt\(np\.arange\(")
     offenders = [
         f"{path.name}:{n}: {line.strip()}"
         for path in sorted(src.glob("*.py"))
@@ -291,6 +350,12 @@ def _expm_cases():
     cases.append((50.0 * np.eye(4), np.ones(4), 1e-14, 5))
     cases.append((16.0 * np.eye(4), 1e308 * fock.fock_state(0, 4).amp, 1e-12, None))
     cases.append((-1j * number(4).entries, np.array([0.5, np.nan, 0, 0]), 1e-12, None))
+    # imaginary parts of -0.0: an elementwise product gives -0.0 at n = 0
+    # where zgemv's sums from +0 give +0
+    conj = fock.coherent_state(0.7, 16).amp.conj()
+    cases.append((-0.5j * number(16).entries, conj, 1e-12, None))
+    # a diagonal with complex entries, whose products round twice
+    both_ways((0.05 - 0.9j) * number(40).entries, fock.coherent_state(0.9, 40).amp)
     return cases
 
 
@@ -319,24 +384,64 @@ def test_expm_apply_bitwise_equals_reference_loop():
     ]
 
 
+def test_expm_apply_takes_the_dense_product_only_where_products_round_twice(monkeypatch):
+    calls = []
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    dim = 12
+    number = fock.number_matrix(dim).entries
+    rng = np.random.default_rng(4)
+    mixed = np.diag(np.where(np.arange(dim) % 2, 0.3, -0.4j))
+    elementwise = [-0.7j * number, 0.6 * np.eye(dim), -2.5j * np.eye(dim), mixed]
+    one_complex = -0.7j * number
+    one_complex[3, 3] += 0.1
+    one_off_diagonal = -0.7j * number
+    one_off_diagonal[0, 5] = 1e-300
+    dense = [
+        (0.2 + 0.1j) * number,
+        one_complex,
+        one_off_diagonal,
+        0.3 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
+    ]
+    st = fock.coherent_state(0.8, dim, tail_tol=1e-6)
+    for gens, takes_matmul in ((elementwise, False), (dense, True)):
+        for gen in gens:
+            calls.clear()
+            fock.expm_apply(fock.OperatorMatrix(gen), st)
+            assert bool(calls) is takes_matmul, gen
+
+
 @pytest.mark.parametrize("rate", [16.0, 16.0j])
 def test_expm_apply_sets_nan_beside_inf_as_complex_division_does(monkeypatch, rate):
     # OpenBLAS's zgemv scales by alpha = 1 + 0j, so an inf part of a product
     # already comes with NaN beside it; a product without that step leaves
-    # (inf, 0) or (0, inf), where complex division by k gives NaN for the 0
+    # (inf, 0) or (0, inf), where complex division by k gives NaN for the 0.
+    # rate*I takes the elementwise product, which has no alpha step either;
+    # the band above a 15/16 rate diagonal sends the product through matmul,
+    # patched, with the same 1-norm of 16: one segment
     def product(a, b, out):
         return np.einsum("ij,j->i", a, b, out=out)
 
-    m = fock.OperatorMatrix(rate * np.eye(4))
+    gens = [rate * np.eye(4), rate * 15 / 16 * np.eye(4) + np.eye(4, k=1)]
+    ms = [fock.OperatorMatrix(gen) for gen in gens]
     st = fock.FockVector(1e308 * fock.fock_state(0, 4).amp)
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericalFailureError) as ref:
-            _expm_apply_reference(m, st, 1e-12)
+        refs = []
+        for m in ms:
+            with pytest.raises(NumericalFailureError) as ref:
+                _expm_apply_reference(m, st, 1e-12)
+            refs.append(str(ref.value))
         monkeypatch.setattr(np, "matmul", product)
-        with pytest.raises(NumericalFailureError) as got:
-            fock.expm_apply(m, st, 1e-12)
-    assert str(got.value) == str(ref.value)
-    assert "no convergence in 160 terms" in str(ref.value)
+        for m, ref in zip(ms, refs):
+            with pytest.raises(NumericalFailureError) as got:
+                fock.expm_apply(m, st, 1e-12)
+            assert str(got.value) == ref
+            assert "no convergence in 160 terms per segment (segments=1" in ref
 
 
 def test_tensor_and_project_roundtrip():
@@ -355,12 +460,30 @@ def test_tensor_and_project_roundtrip():
 
 def test_normalize_rejects_empty_and_subnormal_branches():
     tiny = math.sqrt(sys.float_info.min)
-    vec, prob = fock.normalize(np.array([tiny * 1.25, 0.0], dtype=np.complex128))
+    barely = np.array([tiny * 1.25, 0.0, 0.0], dtype=np.complex128)
+    vec, prob = fock.normalize(barely)
     assert prob >= sys.float_info.min and vec.norm_sq() == pytest.approx(1.0, rel=1e-15)
     # zero, and |amp|^2 of 1e-320 (subnormal): the branch is empty
-    for amp in (np.zeros(3, dtype=np.complex128), np.array([1e-160, 0.0], dtype=complex)):
+    zero, subnormal = np.zeros(3, dtype=np.complex128), np.array([1e-160, 0.0, 0.0], complex)
+    for amp in (zero, subnormal):
         with pytest.raises(EmptyBranchError):
             fock.normalize(amp)
+    # row-wise, in a block mixing them with normal rows: the same rule, and
+    # each row as the one-row normalize and the plain formula give it
+    rng = np.random.default_rng(8)
+    normal = rng.normal(size=3) + 1j * rng.normal(size=3)
+    rows = [barely, zero, normal, subnormal, 1e150j * barely]
+    units, probs, empty = fock.normalize_rows(np.array(rows))
+    assert empty.tolist() == [False, True, False, True, False]
+    for row, unit, prob, blank in zip(rows, units, probs, empty):
+        if blank:
+            with pytest.raises(EmptyBranchError):
+                fock.normalize(row)
+            continue
+        vec, one_prob = fock.normalize(row)
+        plain_prob = np.vdot(row, row).real
+        assert prob == one_prob == plain_prob and type(one_prob) is float
+        assert unit.tobytes() == vec.amp.tobytes() == (row / math.sqrt(plain_prob)).tobytes()
 
 
 def test_fidelity_of_two_mode_states():
