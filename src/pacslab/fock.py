@@ -270,6 +270,68 @@ _BOUND_REL = 1.0 + 1e-9
 _BOUND_LOW = 1.0 - 1e-9
 _BOUND_ABS = 2.0**-500
 _BOUND_MAX = 2.0**511
+# Taylor terms of a diagonal generator built per numpy call
+_DIAGONAL_CHUNK = 32
+
+
+def _diagonal_terms(
+    diag: np.ndarray, src: np.ndarray, k0: int, count: int, segments: int
+) -> np.ndarray | None:
+    """Terms k0 .. k0+count-1 of a segment of expm_apply, ``diag`` applied
+    elementwise, from the term before them (``src``); None unless all finite.
+
+    One multiply.accumulate over the rows src, diag, 1/(k0*segments), diag,
+    1/((k0+1)*segments), ... takes the loop's products in the loop's order.
+    Each part of a product with diag or with the real scale is one rounded
+    product, the other product being a zero, so only the signs of zero parts
+    can differ from the loop's.  The loop adds 0.0 to each product before
+    scaling it: a term's part is +0 where the product's part is 0, and
+    otherwise has the sign of the product's part, an underflow to -0.0 too.
+    """
+    rows = np.empty((2 * count + 1, src.size), dtype=np.complex128)
+    rows[0] = src
+    rows[1::2] = diag
+    rows[2::2] = (1.0 / (np.arange(k0, k0 + count) * segments))[:, None]
+    with np.errstate(all="ignore"):
+        np.multiply.accumulate(rows, axis=0, out=rows)
+    products, parts = rows[1::2].view(np.float64), rows[2::2].view(np.float64)
+    products += 0.0  # a zero product part is +0, as in the loop
+    np.copysign(parts, products, out=parts)
+    terms = rows[2::2]
+    return terms if np.isfinite(terms).all() else None
+
+
+def _diagonal_segment(
+    diag: np.ndarray, acc: np.ndarray, segments: int, seg_tol: float, upper: float, max_terms: int
+) -> tuple[np.ndarray, float] | None:
+    """One segment of expm_apply's term loop for a diagonal generator, built
+    _DIAGONAL_CHUNK terms at a time: (the segment's sum, the bound on |acc|).
+
+    The running sums are one add.accumulate over acc and the terms, and the
+    term norms one row-wise dot, so every sum, norm and stop decision is the
+    loop's bit for bit.  None where a term is not finite or the segment does
+    not converge: the loop then runs the segment, with its own NaN handling
+    and error.
+    """
+    src, k = acc, 1
+    while k <= max_terms:
+        count = min(_DIAGONAL_CHUNK, max_terms - k + 1)
+        terms = _diagonal_terms(diag, src, k, count, segments)
+        if terms is None:
+            return None
+        sums = np.empty((count + 1, acc.size), dtype=np.complex128)
+        sums[0] = acc
+        sums[1:] = terms
+        np.add.accumulate(sums, axis=0, out=sums)
+        term_f = terms.view(np.float64)
+        for j, tf in enumerate(np.sqrt(vdot_rows(term_f, term_f)).tolist()):
+            upper = (upper + tf) * _BOUND_REL + _BOUND_ABS
+            if tf * _BOUND_LOW - _BOUND_ABS <= seg_tol * upper or not upper < _BOUND_MAX:
+                upper = _l2_norm(sums[j + 1].real, sums[j + 1].imag)
+                if _l2_norm(terms[j].real, terms[j].imag) <= seg_tol * upper:
+                    return sums[j + 1], upper
+        src, acc, k = terms[-1], sums[-1], k + count
+    return None
 
 
 def expm_apply(
@@ -283,7 +345,8 @@ def expm_apply(
     Deterministic for fixed inputs; relative accuracy ~tol.  Raises
     NumericalFailureError when a segment fails to converge in ``max_terms``.
     A generator such as -i theta N, diagonal with real or imaginary entries,
-    is applied elementwise; its terms equal the dense product's bit for bit.
+    is applied elementwise, _DIAGONAL_CHUNK terms per numpy call; its terms
+    equal the dense product's bit for bit.
     """
     if m.dim != psi.dim:
         raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
@@ -296,7 +359,6 @@ def expm_apply(
     # acc carries one segment's sum into the next; the terms alternate between
     # two buffers, each kept with its float64, .real and .imag views
     acc = psi.amp.copy()
-    acc_re, acc_im = acc.real, acc.imag
     bufs = [np.empty_like(acc), np.empty_like(acc)]
     bufs = [(t, t.view(np.float64), t.real, t.imag) for t in bufs]
     # The stop test is |term| <= seg_tol*|acc|, both norms as _l2_norm computes
@@ -312,6 +374,14 @@ def expm_apply(
     # makes upper NaN or inf, and both take the exact test.
     upper = math.inf
     for _ in range(segments):
+        if diag is not None:
+            done = _diagonal_segment(diag, acc, segments, seg_tol, upper, max_terms)
+            if done is not None:
+                acc, upper = done
+                continue
+        # the term loop: a dense generator, or a diagonal segment with a
+        # non-finite term or no convergence, run again from its start
+        acc_re, acc_im = acc.real, acc.imag
         src = acc
         for k in range(1, max_terms + 1):
             term, term_f, term_re, term_im = bufs[k & 1]

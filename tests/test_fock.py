@@ -356,6 +356,11 @@ def _expm_cases():
     cases.append((-0.5j * number(16).entries, conj, 1e-12, None))
     # a diagonal with complex entries, whose products round twice
     both_ways((0.05 - 0.9j) * number(40).entries, fock.coherent_state(0.9, 40).amp)
+    # a -0.0 part beside a subnormal one: scaled by 1/segments, the first
+    # term's part underflows to -0.0, which keeps the sum at -0.0
+    tiny = np.zeros(34, dtype=complex)
+    tiny[0], tiny[1] = 1.0, complex(-0.0, -5e-324)
+    cases.append((-0.6j * number(34).entries, tiny, 1e-12, None))
     return cases
 
 
@@ -414,6 +419,39 @@ def test_expm_apply_takes_the_dense_product_only_where_products_round_twice(monk
             calls.clear()
             fock.expm_apply(fock.OperatorMatrix(gen), st)
             assert bool(calls) is takes_matmul, gen
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_expm_apply_diagonal_chunks_equal_reference_loop_bitwise(monkeypatch, chunk):
+    # every place of a chunk boundary relative to the stopping term, and
+    # chunks cut short by max_terms, give the per-term loop's bytes
+    monkeypatch.setattr(fock, "_DIAGONAL_CHUNK", chunk)
+    for case in _expm_cases():
+        if fock._one_rounding_diagonal(np.asarray(case[0], dtype=complex)) is None:
+            continue
+        got = _expm_outcome(fock.expm_apply, *case)
+        assert got == _expm_outcome(_expm_apply_reference, *case), (chunk, case[2:])
+
+
+def test_expm_apply_builds_finite_rotation_terms_in_chunks(monkeypatch):
+    # the -i theta N rotations of verify and perfbench never fall back to
+    # the per-term loop, whose many small numpy calls slow down most when
+    # the host is loaded
+    results = []
+    segment = fock._diagonal_segment
+
+    def spy(*args):
+        results.append(segment(*args))
+        return results[-1]
+
+    monkeypatch.setattr(fock, "_diagonal_segment", spy)
+    rng = np.random.default_rng(5)
+    for dim in (32, 48, 64, 96):
+        theta = rng.uniform(-math.pi, math.pi)
+        gen = fock.OperatorMatrix(-1j * theta * fock.number_matrix(dim).entries)
+        fock.expm_apply(gen, fock.coherent_state(rng.uniform(0.5, 1.5), dim), tol=1e-12)
+    assert len(results) > 4
+    assert all(r is not None for r in results)
 
 
 @pytest.mark.parametrize("rate", [16.0, 16.0j])
