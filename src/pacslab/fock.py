@@ -246,10 +246,10 @@ def apply_operator(m: OperatorMatrix, psi: FockVector) -> FockVector:
     return FockVector(m.entries @ psi.amp)
 
 
-def _l2_norm(re: np.ndarray, im: np.ndarray) -> float:
-    """np.linalg.norm of the complex vector whose .real and .imag views are
-    ``re`` and ``im``: the same arithmetic without its Python-level wrapper."""
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _l2_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row (last axis) of ``x``: its arithmetic, one
+    strided dot per part through vdot_rows, without its Python wrapper."""
+    return np.sqrt(vdot_rows(x.real, x.real) + vdot_rows(x.imag, x.imag))
 
 
 def _one_rounding_diagonal(entries: np.ndarray) -> np.ndarray | None:
@@ -264,12 +264,10 @@ def _one_rounding_diagonal(entries: np.ndarray) -> np.ndarray | None:
     return diag
 
 
-# slack of expm_apply's running bound on |acc| and of its one-dot term norm,
-# and the bound above which |acc|^2 may overflow, so the exact norm is taken
-_BOUND_REL = 1.0 + 1e-9
-_BOUND_LOW = 1.0 - 1e-9
-_BOUND_ABS = 2.0**-500
-_BOUND_MAX = 2.0**511
+# |acc| must lie in [_NORM_MIN, _NORM_MAX), where its square sum is a normal
+# double; outside it the stop test compares norms that have lost their digits
+_NORM_MIN = 2.0**-511
+_NORM_MAX = 2.0**512
 # Taylor terms of a diagonal generator built per numpy call
 _DIAGONAL_CHUNK = 32
 
@@ -284,9 +282,9 @@ def _diagonal_terms(
     1/((k0+1)*segments), ... takes the loop's products in the loop's order.
     Each part of a product with diag or with the real scale is one rounded
     product, the other product being a zero, so only the signs of zero parts
-    can differ from the loop's.  The loop adds 0.0 to each product before
-    scaling it: a term's part is +0 where the product's part is 0, and
-    otherwise has the sign of the product's part, an underflow to -0.0 too.
+    can differ from the loop's.  zgemv sums each product from +0, so a term's
+    part is +0 where the product's part is 0, and otherwise has the sign of
+    the product's part, an underflow to -0.0 too.
     """
     rows = np.empty((2 * count + 1, src.size), dtype=np.complex128)
     rows[0] = src
@@ -295,23 +293,23 @@ def _diagonal_terms(
     with np.errstate(all="ignore"):
         np.multiply.accumulate(rows, axis=0, out=rows)
     products, parts = rows[1::2].view(np.float64), rows[2::2].view(np.float64)
-    products += 0.0  # a zero product part is +0, as in the loop
+    products += 0.0  # a zero product part is +0, as zgemv's sums from +0 give
     np.copysign(parts, products, out=parts)
     terms = rows[2::2]
     return terms if np.isfinite(terms).all() else None
 
 
 def _diagonal_segment(
-    diag: np.ndarray, acc: np.ndarray, segments: int, seg_tol: float, upper: float, max_terms: int
-) -> tuple[np.ndarray, float] | None:
+    diag: np.ndarray, acc: np.ndarray, segments: int, seg_tol: float, max_terms: int
+) -> np.ndarray | None:
     """One segment of expm_apply's term loop for a diagonal generator, built
-    _DIAGONAL_CHUNK terms at a time: (the segment's sum, the bound on |acc|).
+    _DIAGONAL_CHUNK terms at a time: the segment's sum.
 
     The running sums are one add.accumulate over acc and the terms, and the
-    term norms one row-wise dot, so every sum, norm and stop decision is the
-    loop's bit for bit.  None where a term is not finite or the segment does
-    not converge: the loop then runs the segment, with its own NaN handling
-    and error.
+    norms two row-wise _l2_norms, so every sum, norm and stop decision is the
+    loop's bit for bit.  None where a term is not finite, a sum of the chunk
+    has |acc| out of range or the segment does not converge: the loop then
+    runs the segment, with its own NaN handling and errors.
     """
     src, k = acc, 1
     while k <= max_terms:
@@ -323,13 +321,12 @@ def _diagonal_segment(
         sums[0] = acc
         sums[1:] = terms
         np.add.accumulate(sums, axis=0, out=sums)
-        term_f = terms.view(np.float64)
-        for j, tf in enumerate(np.sqrt(vdot_rows(term_f, term_f)).tolist()):
-            upper = (upper + tf) * _BOUND_REL + _BOUND_ABS
-            if tf * _BOUND_LOW - _BOUND_ABS <= seg_tol * upper or not upper < _BOUND_MAX:
-                upper = _l2_norm(sums[j + 1].real, sums[j + 1].imag)
-                if _l2_norm(terms[j].real, terms[j].imag) <= seg_tol * upper:
-                    return sums[j + 1], upper
+        acc_norms = _l2_norms(sums[1:])
+        if acc_norms.min() < _NORM_MIN or acc_norms.max() >= _NORM_MAX:
+            return None
+        stop = np.flatnonzero(_l2_norms(terms) <= seg_tol * acc_norms)
+        if stop.size:
+            return sums[stop[0] + 1]
         src, acc, k = terms[-1], sums[-1], k + count
     return None
 
@@ -343,7 +340,10 @@ def expm_apply(
     """e^M psi by a segmented Taylor series with term-norm stopping.
 
     Deterministic for fixed inputs; relative accuracy ~tol.  Raises
-    NumericalFailureError when a segment fails to converge in ``max_terms``.
+    NumericalFailureError when a segment fails to converge in ``max_terms``,
+    and when a finite, nonzero partial sum has a norm outside [2^-511, 2^512):
+    there its square sum is not a normal double, and the stop test would
+    compare norms that have lost their digits.
     A generator such as -i theta N, diagonal with real or imaginary entries,
     is applied elementwise, _DIAGONAL_CHUNK terms per numpy call; its terms
     equal the dense product's bit for bit.
@@ -356,59 +356,28 @@ def expm_apply(
     segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
     seg_tol = tol / (2.0 * segments)
     diag = _one_rounding_diagonal(m.entries)
-    # acc carries one segment's sum into the next; the terms alternate between
-    # two buffers, each kept with its float64, .real and .imag views
     acc = psi.amp.copy()
-    bufs = [np.empty_like(acc), np.empty_like(acc)]
-    bufs = [(t, t.view(np.float64), t.real, t.imag) for t in bufs]
-    # The stop test is |term| <= seg_tol*|acc|, both norms as _l2_norm computes
-    # them.  Between exact tests, ``tf`` = sqrt(term_f.dot(term_f)), one dot
-    # instead of two, stands in for |term|, and ``upper`` bounds |acc|: each
-    # term adds at most |term| to it.  The relative slack covers how the two
-    # term norms, the sums and |acc| round (about dim*u, far below 1e-9), the
-    # absolute slack how norms err once their squares are subnormal (about
-    # sqrt(dim)*2^-537), and below _BOUND_MAX no square sum overflows.  So
-    # tf*(1 - 1e-9) - 2^-500 > seg_tol*upper means |term| > seg_tol*|acc|
-    # (rounding a product by seg_tol > 0 keeps order): the exact test would
-    # fail, and skipping it never changes a stop decision.  A NaN or inf tf
-    # makes upper NaN or inf, and both take the exact test.
-    upper = math.inf
     for _ in range(segments):
         if diag is not None:
-            done = _diagonal_segment(diag, acc, segments, seg_tol, upper, max_terms)
+            done = _diagonal_segment(diag, acc, segments, seg_tol, max_terms)
             if done is not None:
-                acc, upper = done
+                acc = done
                 continue
-        # the term loop: a dense generator, or a diagonal segment with a
-        # non-finite term or no convergence, run again from its start
-        acc_re, acc_im = acc.real, acc.imag
-        src = acc
+        # the term loop: a dense generator, or a diagonal segment that the
+        # chunks left, run again from its start
+        term = acc
         for k in range(1, max_terms + 1):
-            term, term_f, term_re, term_im = bufs[k & 1]
-            if diag is None:
-                np.matmul(m.entries, src, out=term)
-            else:
-                # zgemv sums each row from +0, and +0 + -0.0 is +0
-                np.multiply(diag, src, out=term)
-                term += 0.0
-            # numpy divides a complex by the real d = k*segments as
-            # ((re + im*0) * (1/d), (im - re*0) * (1/d)): this scaling where
-            # both parts are finite and neither is -0.0, as both products give
-            term_f *= 1.0 / (k * segments)
-            tf = math.sqrt(term_f.dot(term_f))
-            if not tf < math.inf:
-                # where one part is inf or NaN, that division makes the other NaN
-                re_bad, im_bad = ~np.isfinite(term_re), ~np.isfinite(term_im)
-                term_re[im_bad] = np.nan
-                term_im[re_bad] = np.nan
-                tf = math.sqrt(term_f.dot(term_f))
+            term = np.matmul(m.entries, term)
+            term /= k * segments
             acc += term
-            upper = (upper + tf) * _BOUND_REL + _BOUND_ABS
-            if tf * _BOUND_LOW - _BOUND_ABS <= seg_tol * upper or not upper < _BOUND_MAX:
-                upper = _l2_norm(acc_re, acc_im)
-                if _l2_norm(term_re, term_im) <= seg_tol * upper:
-                    break
-            src = term
+            acc_norm = _l2_norms(acc)
+            if not _NORM_MIN <= acc_norm < _NORM_MAX and np.isfinite(acc).all() and acc.any():
+                raise NumericalFailureError(
+                    f"expm_apply: partial sum norm {acc_norm:.3e} outside "
+                    "[2^-511, 2^512), where its square sum is not a normal double"
+                )
+            if _l2_norms(term) <= seg_tol * acc_norm:
+                break
         else:
             raise NumericalFailureError(
                 f"expm_apply: no convergence in {max_terms} terms per segment "

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -192,7 +193,9 @@ def test_vdot_rows_equals_per_row_vdot_bitwise_on_other_blas_kernels():
 
 def test_only_fock_sums_amplitudes():
     # the amplitude sum and the ladder band have one home, fock.py: a
-    # reduction or band written elsewhere would escape fock.vdot/fock.ladder
+    # reduction or band written elsewhere would escape fock.vdot/fock.ladder;
+    # inside fock.py every sum, expm_apply's norms too, is the one
+    # np.vecdot in vdot_rows, so its body is the only one to switch
     src = Path(fock.__file__).parent
     pattern = re.compile(r"np\.v?dot\b|\.dot\(|vecdot\(|np\.sqrt\(np\.arange\(")
     offenders = [
@@ -203,15 +206,31 @@ def test_only_fock_sums_amplitudes():
         if pattern.search(line)
     ]
     assert not offenders, offenders
+    tree = ast.parse(Path(fock.__file__).read_text())
+    body = next(f for f in tree.body if getattr(f, "name", None) == "vdot_rows")
+    sums = [
+        (node.attr, body.lineno <= node.lineno <= body.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("dot", "vdot", "vecdot")
+    ]
+    assert sums == [("vecdot", True)]
 
 
 def test_l2_norm_is_numpy_norm_bitwise():
-    # the expm_apply stop test: np.linalg.norm's arithmetic, not its wrapper
+    # the expm_apply stop test: np.linalg.norm's arithmetic, not its wrapper,
+    # on one row, on a stack and on strided rows such as a chunk's terms
     rng = np.random.default_rng(17)
     for n in (1, 2, 17, 64, 513):
         for scale in (1e-160, 1.0, 1e150):
             x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-            assert fock._l2_norm(x.real, x.imag) == np.linalg.norm(x), (n, scale)
+            assert fock._l2_norms(x) == np.linalg.norm(x), (n, scale)
+            stack = scale * (rng.normal(size=(9, n)) + 1j * rng.normal(size=(9, n)))
+            grid = scale * (rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
+            for rows in (stack, stack[1::2], stack[:, ::3], grid.T):
+                norms = fock._l2_norms(rows)
+                assert norms.shape == rows.shape[:1], (n, scale)
+                for row, norm in zip(rows, norms):
+                    assert norm == np.linalg.norm(row), (n, scale)
 
 
 def test_expm_apply_zero_and_inverse():
@@ -236,6 +255,28 @@ def test_expm_apply_phase_rotation():
     rotated = fock.expm_apply(gen, st, tol=1e-12)
     target = fock.coherent_state(alpha * np.exp(-1j * theta), dim)
     assert fock.fidelity(rotated, target) >= 1 - 1e-10
+
+
+def test_expm_apply_rejects_a_norm_whose_square_is_not_normal():
+    # beyond 2^512 |acc|^2 overflows, below 2^-511 it is subnormal, and the
+    # stop test compares norms that have lost their digits: unchecked, either
+    # rotation below came back with an amplitude 0.197 off in the unit state.
+    # The band entry of 1e-300 sends it through the term loop, not the chunks.
+    dim = 32
+    st = fock.coherent_state(0.8, dim).amp
+    exact = np.exp(-0.7j * np.arange(dim)) * st
+    rotation = -0.7j * fock.number_matrix(dim).entries
+    banded = rotation.copy()
+    banded[0, dim - 1] = 1e-300
+    for gen in (rotation, banded):
+        m = fock.OperatorMatrix(gen)
+        for scale in (1e160, 1e-165):
+            with np.errstate(over="ignore"):
+                with pytest.raises(NumericalFailureError, match=r"outside \[2\^-511, 2\^512\)"):
+                    fock.expm_apply(m, fock.FockVector(scale * st), tol=1e-12)
+        for scale in (1e150, 1e-150):
+            got = fock.expm_apply(m, fock.FockVector(scale * st), tol=1e-12).amp / scale
+            assert np.max(np.abs(got - exact)) <= 1e-12, (scale, gen is banded)
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.7, 4.0])
@@ -275,8 +316,8 @@ def test_expm_apply_reports_non_convergence():
 
 
 def _expm_apply_reference(m, psi, tol, max_terms=fock.EXPM_MAX_TERMS):
-    """expm_apply's Taylor loop before its term buffers and its running bound
-    on |acc|: a new term per step, complex division, both norms every term."""
+    """expm_apply's Taylor loop written on its own: a new term per step,
+    complex division, and both norms and the range of |acc| every term."""
 
     def norm(x):
         return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
@@ -292,7 +333,13 @@ def _expm_apply_reference(m, psi, tol, max_terms=fock.EXPM_MAX_TERMS):
             term = m.entries @ term
             term /= k * segments
             acc += term
-            if norm(term) <= seg_tol * norm(acc):
+            acc_norm = norm(acc)
+            if not 2.0**-511 <= acc_norm < 2.0**512 and np.isfinite(acc).all() and acc.any():
+                raise NumericalFailureError(
+                    f"expm_apply: partial sum norm {acc_norm:.3e} outside "
+                    "[2^-511, 2^512), where its square sum is not a normal double"
+                )
+            if norm(term) <= seg_tol * acc_norm:
                 break
         else:
             raise NumericalFailureError(
@@ -313,8 +360,12 @@ def _expm_cases():
     cases = []
 
     def both_ways(gen, st, tol=1e-12):
-        there = ref(fock.OperatorMatrix(gen), fock.FockVector(st), tol)
-        cases.extend([(gen, st, tol, None), (-gen, there.amp, tol, None)])
+        cases.append((gen, st, tol, None))
+        try:
+            there = ref(fock.OperatorMatrix(gen), fock.FockVector(st), tol)
+        except NumericalFailureError:
+            return
+        cases.append((-gen, there.amp, tol, None))
 
     number = fock.number_matrix
     for dim in (32, 48, 64, 96):  # seeded phase rotations and their inverses
@@ -329,16 +380,17 @@ def _expm_cases():
     for theta in (0.3, 1.7, 4.0):  # Hermitian
         h = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
         both_ways(-1j * theta * (h + h.conj().T) / 2, fock.coherent_state(0.7, 20, 1e-8).amp)
-    for scale in (1e-160, 1e150):  # subnormal and near-overflow square sums
+    # |acc| below 2^-511, and past 2^512 as the dense generator grows it
+    # (both rejected); at 1e-150 the late terms' squares are subnormal
+    for scale in (1e-160, 1e150, 1e-150):
         both_ways(-0.9j * number(48).entries, scale * fock.coherent_state(1.1, 48).amp)
         gen = 2.5 * (rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))
         cases.append((gen, scale * (rng.normal(size=24) + 1j * rng.normal(size=24)), 1e-12, None))
     for tol in (1e-6, 1e-14, 1e-300):
         cases.append((-2.0j * number(32).entries, fock.coherent_state(1.0, 32).amp, tol, None))
     # c*I keeps every term parallel to acc, so its norm adds to |acc| with no
-    # room to spare; each case fails when a slack of the skipped |acc| test
-    # is dropped: the 2^511 ceiling, the 2^-500 absolute part (the squares
-    # are subnormal), both 1e-9 relative parts (tol found by search)
+    # room to spare: |acc| crossing 2^512, |acc| whose square is subnormal,
+    # and a tol found by search where |term| and seg_tol*|acc| all but tie
     cases.append((0.5 * np.eye(2), np.full(2, 6e153), 1e-12, None))
     cases.append((0.8 * np.eye(1), np.full(1, 7e-162), 0.3, None))
     cases.append(
@@ -380,8 +432,14 @@ def test_expm_apply_bitwise_equals_reference_loop():
         assert got == _expm_outcome(_expm_apply_reference, *case), case[2:]
         outcomes.append(got)
     errors = [o for o in outcomes if isinstance(o, str)]
+    out_of_range = "outside [2^-511, 2^512), where its square sum is not a normal double"
     assert errors == [
+        f"expm_apply: partial sum norm 1.114e-160 {out_of_range}",
+        f"expm_apply: partial sum norm 1.930e-159 {out_of_range}",
+        f"expm_apply: partial sum norm inf {out_of_range}",
         "expm_apply: no convergence in 160 terms per segment (segments=4, 1-norm=6.200e+01)",
+        f"expm_apply: partial sum norm inf {out_of_range}",
+        f"expm_apply: partial sum norm 1.257e-161 {out_of_range}",
         "expm_apply: no convergence in 3 terms per segment (segments=2, 1-norm=3.000e+01)",
         "expm_apply: no convergence in 5 terms per segment (segments=4, 1-norm=5.000e+01)",
         "expm_apply: no convergence in 160 terms per segment (segments=1, 1-norm=1.600e+01)",
@@ -457,12 +515,12 @@ def test_expm_apply_builds_finite_rotation_terms_in_chunks(monkeypatch):
 @pytest.mark.parametrize("rate", [16.0, 16.0j])
 def test_expm_apply_sets_nan_beside_inf_as_complex_division_does(monkeypatch, rate):
     # OpenBLAS's zgemv scales by alpha = 1 + 0j, so an inf part of a product
-    # already comes with NaN beside it; a product without that step leaves
-    # (inf, 0) or (0, inf), where complex division by k gives NaN for the 0.
-    # rate*I takes the elementwise product, which has no alpha step either;
-    # the band above a 15/16 rate diagonal sends the product through matmul,
-    # patched, with the same 1-norm of 16: one segment
-    def product(a, b, out):
+    # already comes with NaN beside it; the patched product has no alpha step
+    # and leaves (inf, 0) or (0, inf), and the loop divides each term by k as
+    # complex division does, which gives NaN for the 0.  rate*I leaves its
+    # non-finite chunk for the loop; the band above a 15/16 rate diagonal
+    # goes there directly, with the same 1-norm of 16: one segment
+    def product(a, b, out=None):
         return np.einsum("ij,j->i", a, b, out=out)
 
     gens = [rate * np.eye(4), rate * 15 / 16 * np.eye(4) + np.eye(4, k=1)]
