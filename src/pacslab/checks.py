@@ -11,7 +11,6 @@ grids.
 """
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 
@@ -40,7 +39,7 @@ def curve_rows(alpha: complex, beta_ts, ms, dim=None) -> list:
     """jc-curve: overlaps of the conditional cavity state with the
     photon-added targets over beta_t (closed form only)."""
     points = jaynes.jc_overlap_curve(alpha, beta_ts, ms, dim=dim)
-    return [{**asdict(p), "provenance": "closed_form"} for p in points]
+    return [{**p._asdict(), "provenance": "closed_form"} for p in points]
 
 
 def overlap_rows(alpha: complex, rs, dim=None) -> list:

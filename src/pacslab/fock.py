@@ -252,18 +252,6 @@ def _l2_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(vdot_rows(x.real, x.real) + vdot_rows(x.imag, x.imag))
 
 
-def _one_rounding_diagonal(entries: np.ndarray) -> np.ndarray | None:
-    """The diagonal of ``entries`` when every product with it rounds once, as
-    in zgemv: no nonzero entry off the diagonal, and none on it with both a
-    nonzero real and a nonzero imaginary part.  None otherwise."""
-    diag = np.diagonal(entries)
-    if np.count_nonzero(entries) != np.count_nonzero(diag):
-        return None
-    if np.any((diag.real != 0) & (diag.imag != 0)):
-        return None
-    return diag
-
-
 # |acc| must lie in [_NORM_MIN, _NORM_MAX), where its square sum is a normal
 # double; outside it the stop test compares norms that have lost their digits
 _NORM_MIN = 2.0**-511
@@ -274,60 +262,61 @@ _DIAGONAL_CHUNK = 32
 
 def _diagonal_terms(
     diag: np.ndarray, src: np.ndarray, k0: int, count: int, segments: int
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Terms k0 .. k0+count-1 of a segment of expm_apply, ``diag`` applied
-    elementwise, from the term before them (``src``); None unless all finite.
+    elementwise, from the term before them (``src``).
 
     One multiply.accumulate over the rows src, diag, 1/(k0*segments), diag,
-    1/((k0+1)*segments), ... takes the loop's products in the loop's order.
-    Each part of a product with diag or with the real scale is one rounded
-    product, the other product being a zero, so only the signs of zero parts
-    can differ from the loop's.  zgemv sums each product from +0, so a term's
-    part is +0 where the product's part is 0, and otherwise has the sign of
-    the product's part, an underflow to -0.0 too.
+    1/((k0+1)*segments), ... takes one term's products after the other's, so
+    the terms do not depend on how many are built per call.
     """
     rows = np.empty((2 * count + 1, src.size), dtype=np.complex128)
     rows[0] = src
     rows[1::2] = diag
     rows[2::2] = (1.0 / (np.arange(k0, k0 + count) * segments))[:, None]
-    with np.errstate(all="ignore"):
-        np.multiply.accumulate(rows, axis=0, out=rows)
-    products, parts = rows[1::2].view(np.float64), rows[2::2].view(np.float64)
-    products += 0.0  # a zero product part is +0, as zgemv's sums from +0 give
-    np.copysign(parts, products, out=parts)
-    terms = rows[2::2]
-    return terms if np.isfinite(terms).all() else None
+    np.multiply.accumulate(rows, axis=0, out=rows)
+    return rows[2::2]
 
 
-def _diagonal_segment(
-    diag: np.ndarray, acc: np.ndarray, segments: int, seg_tol: float, max_terms: int
+def _segment(
+    entries: np.ndarray,
+    diag: np.ndarray | None,
+    acc: np.ndarray,
+    segments: int,
+    seg_tol: float,
+    max_terms: int,
 ) -> np.ndarray | None:
-    """One segment of expm_apply's term loop for a diagonal generator, built
-    _DIAGONAL_CHUNK terms at a time: the segment's sum.
+    """One segment of expm_apply: acc plus its Taylor terms up to the first
+    that passes the stop test; None if none does within ``max_terms``.
 
-    The running sums are one add.accumulate over acc and the terms, and the
-    norms two row-wise _l2_norms, so every sum, norm and stop decision is the
-    loop's bit for bit.  None where a term is not finite, a sum of the chunk
-    has |acc| out of range or the segment does not converge: the loop then
-    runs the segment, with its own NaN handling and errors.
+    A diagonal generator (``diag``) gets _DIAGONAL_CHUNK terms per step,
+    any other one term, np.matmul(entries, src) / (k * segments).  The
+    running sums are one add.accumulate and their norms one _l2_norms, and
+    the first sum that is finite, nonzero and out of range, or whose term
+    passes the stop test, decides: a one-term step is the plain Taylor loop.
     """
     src, k = acc, 1
     while k <= max_terms:
-        count = min(_DIAGONAL_CHUNK, max_terms - k + 1)
-        terms = _diagonal_terms(diag, src, k, count, segments)
-        if terms is None:
-            return None
-        sums = np.empty((count + 1, acc.size), dtype=np.complex128)
-        sums[0] = acc
-        sums[1:] = terms
-        np.add.accumulate(sums, axis=0, out=sums)
-        acc_norms = _l2_norms(sums[1:])
-        if acc_norms.min() < _NORM_MIN or acc_norms.max() >= _NORM_MAX:
-            return None
-        stop = np.flatnonzero(_l2_norms(terms) <= seg_tol * acc_norms)
-        if stop.size:
-            return sums[stop[0] + 1]
-        src, acc, k = terms[-1], sums[-1], k + count
+        if diag is None:
+            terms = (np.matmul(entries, src) / (k * segments))[None]
+        else:
+            count = min(_DIAGONAL_CHUNK, max_terms - k + 1)
+            terms = _diagonal_terms(diag, src, k, count, segments)
+        sums = np.add.accumulate(np.vstack((acc, terms)))[1:]
+        acc_norms = _l2_norms(sums)
+        out_of_range = ~((_NORM_MIN <= acc_norms) & (acc_norms < _NORM_MAX))
+        out_of_range &= np.isfinite(sums).all(axis=1) & sums.any(axis=1)
+        stop = _l2_norms(terms) <= seg_tol * acc_norms
+        decided = np.flatnonzero(out_of_range | stop)
+        if decided.size:
+            i = decided[0]
+            if out_of_range[i]:
+                raise NumericalFailureError(
+                    f"expm_apply: partial sum norm {acc_norms[i]:.3e} outside "
+                    "[2^-511, 2^512), where its square sum is not a normal double"
+                )
+            return sums[i]
+        src, acc, k = terms[-1], sums[-1], k + len(terms)
     return None
 
 
@@ -337,16 +326,19 @@ def expm_apply(
     tol: float = DEFAULT_EXPM_TOL,
     max_terms: int = EXPM_MAX_TERMS,
 ) -> FockVector:
-    """e^M psi by a segmented Taylor series with term-norm stopping.
+    """e^M psi by a segmented Taylor series with term-norm stopping
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-    Deterministic for fixed inputs; relative accuracy ~tol.  Raises
-    NumericalFailureError when a segment fails to converge in ``max_terms``,
-    and when a finite, nonzero partial sum has a norm outside [2^-511, 2^512):
-    there its square sum is not a normal double, and the stop test would
-    compare norms that have lost their digits.
-    A generator such as -i theta N, diagonal with real or imaginary entries,
-    is applied elementwise, _DIAGONAL_CHUNK terms per numpy call; its terms
-    equal the dense product's bit for bit.
+    Deterministic for fixed inputs; relative accuracy ~tol.  The series runs
+    on psi times 2^-e, which puts its largest real or imaginary part in
+    [0.5, 1), and the sum is multiplied back by 2^e, both exactly.
+    Raises NumericalFailureError when a segment fails to converge in
+    ``max_terms``, when the result is not finite, and when a finite, nonzero
+    partial sum has a norm outside [2^-511, 2^512): there its square sum is
+    not a normal double, and the stop test would compare norms that have
+    lost their digits.  A generator with no nonzero entry off its diagonal,
+    such as -i theta N, is applied elementwise, _DIAGONAL_CHUNK terms per
+    numpy call.
     """
     if m.dim != psi.dim:
         raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
@@ -355,34 +347,23 @@ def expm_apply(
     norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
     segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
     seg_tol = tol / (2.0 * segments)
-    diag = _one_rounding_diagonal(m.entries)
-    acc = psi.amp.copy()
+    diag = np.diagonal(m.entries)
+    if np.count_nonzero(m.entries) != np.count_nonzero(diag):
+        diag = None
+    # the parts as float64, whose abs cannot overflow as a complex abs can;
+    # e is clamped so that 2^-e and 2^e are both finite
+    top = float(np.max(np.abs(psi.amp.view(np.float64))))
+    e = min(max(math.frexp(top)[1], -1021), 1023) if math.isfinite(top) else 0
+    acc = psi.amp * 2.0**-e
     for _ in range(segments):
-        if diag is not None:
-            done = _diagonal_segment(diag, acc, segments, seg_tol, max_terms)
-            if done is not None:
-                acc = done
-                continue
-        # the term loop: a dense generator, or a diagonal segment that the
-        # chunks left, run again from its start
-        term = acc
-        for k in range(1, max_terms + 1):
-            term = np.matmul(m.entries, term)
-            term /= k * segments
-            acc += term
-            acc_norm = _l2_norms(acc)
-            if not _NORM_MIN <= acc_norm < _NORM_MAX and np.isfinite(acc).all() and acc.any():
-                raise NumericalFailureError(
-                    f"expm_apply: partial sum norm {acc_norm:.3e} outside "
-                    "[2^-511, 2^512), where its square sum is not a normal double"
-                )
-            if _l2_norms(term) <= seg_tol * acc_norm:
-                break
-        else:
+        acc = _segment(m.entries, diag, acc, segments, seg_tol, max_terms)
+        if acc is None:
             raise NumericalFailureError(
                 f"expm_apply: no convergence in {max_terms} terms per segment "
                 f"(segments={segments}, 1-norm={norm_one:.3e})"
             )
+    with np.errstate(over="ignore"):  # an overflow is raised just below
+        acc = acc * 2.0**e
     if not np.all(np.isfinite(acc)):
         raise NumericalFailureError("expm_apply produced non-finite amplitudes")
     return FockVector(acc)

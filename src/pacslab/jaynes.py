@@ -10,6 +10,7 @@ coherent states is reconstructed here under selectable conventions.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,8 +238,7 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     )
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One overlap sample; None marks an empty conditioning branch."""
 
     beta_t: float
