@@ -256,68 +256,8 @@ def _l2_norms(x: np.ndarray) -> np.ndarray:
 # double; outside it the stop test compares norms that have lost their digits
 _NORM_MIN = 2.0**-511
 _NORM_MAX = 2.0**512
-# Taylor terms of a diagonal generator built per numpy call
-_DIAGONAL_CHUNK = 32
-
-
-def _diagonal_terms(
-    diag: np.ndarray, src: np.ndarray, k0: int, count: int, segments: int
-) -> np.ndarray:
-    """Terms k0 .. k0+count-1 of a segment of expm_apply, ``diag`` applied
-    elementwise, from the term before them (``src``).
-
-    One multiply.accumulate over the rows src, diag, 1/(k0*segments), diag,
-    1/((k0+1)*segments), ... takes one term's products after the other's, so
-    the terms do not depend on how many are built per call.
-    """
-    rows = np.empty((2 * count + 1, src.size), dtype=np.complex128)
-    rows[0] = src
-    rows[1::2] = diag
-    rows[2::2] = (1.0 / (np.arange(k0, k0 + count) * segments))[:, None]
-    np.multiply.accumulate(rows, axis=0, out=rows)
-    return rows[2::2]
-
-
-def _segment(
-    entries: np.ndarray,
-    diag: np.ndarray | None,
-    acc: np.ndarray,
-    segments: int,
-    seg_tol: float,
-    max_terms: int,
-) -> np.ndarray | None:
-    """One segment of expm_apply: acc plus its Taylor terms up to the first
-    that passes the stop test; None if none does within ``max_terms``.
-
-    A diagonal generator (``diag``) gets _DIAGONAL_CHUNK terms per step,
-    any other one term, np.matmul(entries, src) / (k * segments).  The
-    running sums are one add.accumulate and their norms one _l2_norms, and
-    the first sum that is finite, nonzero and out of range, or whose term
-    passes the stop test, decides: a one-term step is the plain Taylor loop.
-    """
-    src, k = acc, 1
-    while k <= max_terms:
-        if diag is None:
-            terms = (np.matmul(entries, src) / (k * segments))[None]
-        else:
-            count = min(_DIAGONAL_CHUNK, max_terms - k + 1)
-            terms = _diagonal_terms(diag, src, k, count, segments)
-        sums = np.add.accumulate(np.vstack((acc, terms)))[1:]
-        acc_norms = _l2_norms(sums)
-        out_of_range = ~((_NORM_MIN <= acc_norms) & (acc_norms < _NORM_MAX))
-        out_of_range &= np.isfinite(sums).all(axis=1) & sums.any(axis=1)
-        stop = _l2_norms(terms) <= seg_tol * acc_norms
-        decided = np.flatnonzero(out_of_range | stop)
-        if decided.size:
-            i = decided[0]
-            if out_of_range[i]:
-                raise NumericalFailureError(
-                    f"expm_apply: partial sum norm {acc_norms[i]:.3e} outside "
-                    "[2^-511, 2^512), where its square sum is not a normal double"
-                )
-            return sums[i]
-        src, acc, k = terms[-1], sums[-1], k + len(terms)
-    return None
+# segments of 1-norm <= 16 the series may take: a 1-norm up to 65,536
+EXPM_MAX_SEGMENTS = 4096
 
 
 def expm_apply(
@@ -326,44 +266,74 @@ def expm_apply(
     tol: float = DEFAULT_EXPM_TOL,
     max_terms: int = EXPM_MAX_TERMS,
 ) -> FockVector:
-    """e^M psi by a segmented Taylor series with term-norm stopping
-    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    """e^M psi.  ValueError for a non-finite entry of M; NumericalFailureError
+    for a result that is not finite.
 
-    Deterministic for fixed inputs; relative accuracy ~tol.  The series runs
-    on psi times 2^-e, which puts its largest real or imaginary part in
-    [0.5, 1), and the sum is multiplied back by 2^e, both exactly.
-    Raises NumericalFailureError when a segment fails to converge in
-    ``max_terms``, when the result is not finite, and when a finite, nonzero
-    partial sum has a norm outside [2^-511, 2^512): there its square sum is
-    not a normal double, and the stop test would compare norms that have
-    lost their digits.  A generator with no nonzero entry off its diagonal,
-    such as -i theta N, is applied elementwise, _DIAGONAL_CHUNK terms per
-    numpy call.
+    With no nonzero entry off its diagonal (-i theta N, say), M is applied
+    exactly, as e^{M_nn} psi_n (Moler and Van Loan, SIAM Rev. 45, 3 (2003)),
+    whatever ``tol`` and ``max_terms``; NumericalFailureError when some
+    |e^{M_nn}| is not a finite normal double (Re M_nn outside about
+    [-708, 709]), where the product would lose its digits.
+
+    Any other M takes a segmented Taylor series with term-norm stopping
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)), relative
+    accuracy ~tol, on psi times 2^-e, whose largest real or imaginary part is
+    in [0.5, 1); the sum is multiplied back by 2^e, both exactly.  It raises
+    NumericalFailureError past EXPM_MAX_SEGMENTS segments, when a segment
+    does not converge in ``max_terms``, and when a finite, nonzero partial
+    sum's norm leaves [2^-511, 2^512), where the stop test loses its digits.
     """
     if m.dim != psi.dim:
         raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
-    segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
-    seg_tol = tol / (2.0 * segments)
+    if not np.isfinite(m.entries).all():
+        raise ValueError("expm_apply: generator entries must be finite")
     diag = np.diagonal(m.entries)
-    if np.count_nonzero(m.entries) != np.count_nonzero(diag):
-        diag = None
-    # the parts as float64, whose abs cannot overflow as a complex abs can;
-    # e is clamped so that 2^-e and 2^e are both finite
-    top = float(np.max(np.abs(psi.amp.view(np.float64))))
-    e = min(max(math.frexp(top)[1], -1021), 1023) if math.isfinite(top) else 0
-    acc = psi.amp * 2.0**-e
-    for _ in range(segments):
-        acc = _segment(m.entries, diag, acc, segments, seg_tol, max_terms)
-        if acc is None:
+    if np.count_nonzero(m.entries) == np.count_nonzero(diag):
+        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+            factors = np.exp(diag)
+            sizes = np.abs(factors)
+            acc = factors * psi.amp
+        if not np.all((sizes >= sys.float_info.min) & (sizes < np.inf)):
             raise NumericalFailureError(
-                f"expm_apply: no convergence in {max_terms} terms per segment "
-                f"(segments={segments}, 1-norm={norm_one:.3e})"
+                "expm_apply: some |e^M_nn| is not a finite normal double "
+                f"(Re M_nn from {diag.real.min():.3e} to {diag.real.max():.3e})"
             )
-    with np.errstate(over="ignore"):  # an overflow is raised just below
-        acc = acc * 2.0**e
+    else:
+        with np.errstate(over="ignore"):  # an infinite 1-norm is raised just below
+            norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
+        if not norm_one <= 16.0 * EXPM_MAX_SEGMENTS:
+            raise NumericalFailureError(
+                f"expm_apply: 1-norm {norm_one:.3e} needs over {EXPM_MAX_SEGMENTS} segments"
+            )
+        segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
+        seg_tol = tol / (2.0 * segments)
+        # the parts as float64, whose abs cannot overflow as a complex abs can;
+        # e is clamped so that 2^-e and 2^e are both finite
+        top = float(np.max(np.abs(psi.amp.view(np.float64))))
+        e = min(max(math.frexp(top)[1], -1021), 1023) if math.isfinite(top) else 0
+        acc = psi.amp * 2.0**-e
+        for _ in range(segments):
+            term = acc
+            for k in range(1, max_terms + 1):
+                term = np.matmul(m.entries, term) / (k * segments)
+                acc = acc + term
+                acc_norm = _l2_norms(acc)
+                if not _NORM_MIN <= acc_norm < _NORM_MAX and np.isfinite(acc).all() and acc.any():
+                    raise NumericalFailureError(
+                        f"expm_apply: partial sum norm {acc_norm:.3e} outside "
+                        "[2^-511, 2^512), where its square sum is not a normal double"
+                    )
+                if _l2_norms(term) <= seg_tol * acc_norm:
+                    break
+            else:
+                raise NumericalFailureError(
+                    f"expm_apply: no convergence in {max_terms} terms per segment "
+                    f"(segments={segments}, 1-norm={norm_one:.3e})"
+                )
+        with np.errstate(over="ignore"):  # an overflow is raised just below
+            acc = acc * 2.0**e
     if not np.all(np.isfinite(acc)):
         raise NumericalFailureError("expm_apply produced non-finite amplitudes")
     return FockVector(acc)

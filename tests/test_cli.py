@@ -341,8 +341,8 @@ DEFAULT_RECORD_DIGESTS = {
     ("dc-pm", "json"): "b9706bbf41d89edab79ecc80d9a98798fa2f43efb67574670300b6de74581d79",
     ("dc-ideal-check", "csv"): "36237c0a535c377c78536d42020ae38b154a02f4da38a738c683ddc59cbc990c",
     ("dc-ideal-check", "json"): "3ca486a400dcab254e1e4039c6642edc676ae30e2e7868edbf78041a15fa9c23",
-    ("verify", "csv"): "fad22d7e65ca9eed2099f14f33acb5ce5e45c884bd494c19e6c392ae53139e1e",
-    ("verify", "json"): "bfdf31fc1a0aac5d078187521835a48d3758a1a286e412e12bae690f329f5d84",
+    ("verify", "csv"): "d593648d7ddfb02ca1039c70c759e444e0cfb8b2c56bc9f97c0e98028cc75b99",
+    ("verify", "json"): "a315eedf80f713408ab32c7ae8a465df65342b955818ea155c981cf087c47aa8",
 }
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -257,6 +258,19 @@ def test_expm_apply_phase_rotation():
     rotated = fock.expm_apply(gen, st, tol=1e-12)
     target = fock.coherent_state(alpha * np.exp(-1j * theta), dim)
     assert fock.fidelity(rotated, target) >= 1 - 1e-10
+    # -i theta N is diagonal, so it is applied exactly: verify's rotation and
+    # seeded ones give e^{-i theta n} psi_n bit for bit, at any scale of psi
+    rng = np.random.default_rng(5)
+    cases = [(0.8, 0.7, 32)] + [
+        (rng.uniform(0.5, 1.5), rng.uniform(-6.3, 6.3), dim) for dim in (32, 48, 64, 96)
+    ]
+    for alpha, theta, dim in cases:
+        n = np.arange(dim)
+        gen = fock.OperatorMatrix(-1j * theta * fock.number_matrix(dim).entries)
+        for scale in (1.0, 1e160, 1e-160, 1e300, 1e-300):
+            st = scale * fock.coherent_state(alpha, dim).amp
+            got = fock.expm_apply(gen, fock.FockVector(st), tol=1e-12).amp
+            assert got.tobytes() == (np.exp(-1j * theta * n) * st).tobytes(), (dim, scale)
 
 
 def test_expm_apply_rejects_a_norm_whose_square_is_not_normal():
@@ -264,8 +278,9 @@ def test_expm_apply_rejects_a_norm_whose_square_is_not_normal():
     # 1 rotates as a unit state does.  Unscaled, the 1e160 and 1e-165 states
     # had norms whose squares are not normal doubles, and at 2^-509 the late
     # terms' squares underflowed and the segments stopped early (2.8e-9 off).
-    # The band entry of 1e-300 sends the series through np.matmul, one term
-    # per step.  Real growth or decay past [2^-511, 2^512) still raises.
+    # The corner entry of 1e-300 sends a generator through the series; without
+    # it the generator is diagonal and applied exactly.  Real growth or decay
+    # past [2^-511, 2^512) raises in the series, and is exact on the diagonal
     dim = 32
     st = fock.coherent_state(0.8, dim).amp
     for theta in (0.7, 3.0):
@@ -279,10 +294,13 @@ def test_expm_apply_rejects_a_norm_whose_square_is_not_normal():
                 got = fock.expm_apply(m, fock.FockVector(scale * st), tol=1e-12).amp / scale
                 assert np.max(np.abs(got - exact)) <= 1e-13, (theta, scale, gen is banded)
     for rate in (400.0, -400.0):
-        m = fock.OperatorMatrix(rate * np.eye(dim))
+        gen = rate * np.eye(dim, dtype=complex)
+        got = fock.expm_apply(fock.OperatorMatrix(gen), fock.FockVector(st), tol=1e-12)
+        assert got.amp.tobytes() == (np.exp(np.diagonal(gen)) * st).tobytes(), rate
+        gen[0, dim - 1] = 1e-300
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalFailureError, match=r"outside \[2\^-511, 2\^512\)"):
-                fock.expm_apply(m, fock.FockVector(st), tol=1e-12)
+                fock.expm_apply(fock.OperatorMatrix(gen), fock.FockVector(st), tol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.7, 4.0])
@@ -326,10 +344,8 @@ def test_expm_apply_meets_independent_oracles(kind):
     # the contract against oracles that share no code with expm_apply:
     # scipy's expm_multiply, and e^{M_nn} psi_n for a diagonal M, on seeded
     # states scaled by 1, 1e+-160 and 1e+-300 and scaled back.  The calls
-    # must not warn.  Rounding sets the bounds: a segment's terms reach up to
-    # 16^16/16! ~ 9e5 times the sum they cancel to, so a random state, with
-    # weight at high n, loses about six digits under -i theta N; a coherent
-    # state, with its weight at low n, does not
+    # must not warn.  The bound is the oracles' own error: a diagonal is
+    # applied exactly, and the dense series stops at tol 1e-14
     for seed in range(6):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(8, 41))
@@ -343,27 +359,56 @@ def test_expm_apply_meets_independent_oracles(kind):
             oracles = [expm_multiply(m.entries, st)]
             if diag is not None:
                 oracles.append(np.exp(diag) * st)
-            bound = 1e-9 if kind == "rotation" and st is random else 1e-11
             for scale in (1.0, 1e160, 1e-160, 1e300, 1e-300):
                 got = fock.expm_apply(m, fock.FockVector(scale * st), tol=1e-14).amp / scale
                 for oracle in oracles:
                     dev = np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
-                    assert dev <= bound, (seed, st is random, scale, dev)
+                    assert dev <= 1e-11, (seed, st is random, scale, dev)
 
 
 def test_expm_apply_non_convergence_raises():
+    # a diagonal would be applied exactly; the corner entry keeps the series
     dim = 8
-    m = fock.OperatorMatrix(np.eye(dim, dtype=complex) * 30.0)
+    gen = np.eye(dim, dtype=complex) * 30.0
+    gen[0, dim - 1] = 1e-300
+    m = fock.OperatorMatrix(gen)
     st = fock.fock_state(0, dim)
     with pytest.raises(NumericalFailureError):
         fock.expm_apply(m, st, tol=1e-14, max_terms=3)
 
 
 def test_expm_apply_reports_non_convergence():
-    m = fock.OperatorMatrix(np.eye(4, dtype=np.complex128) * 50.0)
+    gen = np.eye(4, dtype=np.complex128) * 50.0
+    gen[0, 3] = 1e-300
+    m = fock.OperatorMatrix(gen)
     v = fock.FockVector(np.ones(4, dtype=np.complex128))
     with pytest.raises(NumericalFailureError, match="no convergence in 5 terms"):
         fock.expm_apply(m, v, tol=1e-14, max_terms=5)
+
+
+def test_expm_apply_rejects_generators_it_cannot_finish():
+    # a non-finite entry is the caller's error, found before any term is
+    # built.  A 1-norm past EXPM_MAX_SEGMENTS segments of 1-norm 16 is refused
+    # before the series: the band of 1e12 would take 6.25e10 segments
+    dim = 8
+    st = fock.coherent_state(0.8, dim, tail_tol=1e-6)
+    calls = []
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+        for at in ((2, 2), (0, 1)):  # on the diagonal and off it
+            gen = -0.7j * fock.number_matrix(dim).entries
+            gen[at] = bad
+            calls.append((ValueError, "generator entries must be finite", gen))
+    band = np.zeros((dim, dim))
+    band[0, 1] = 1e12
+    past = np.nextafter(16.0 * fock.EXPM_MAX_SEGMENTS, np.inf) * np.eye(dim, k=1)
+    # the last has finite entries and a 1-norm that overflows
+    for gen, norm in ((band, "1.000e+12"), (past, "6.554e+04"), (np.full((dim, dim), 1e308), "inf")):
+        calls.append((NumericalFailureError, f"1-norm {norm} needs over 4096 segments", gen))
+    for error, text, gen in calls:
+        start = time.perf_counter()
+        with pytest.raises(error, match=re.escape(text)):
+            fock.expm_apply(fock.OperatorMatrix(gen), st)
+        assert time.perf_counter() - start < 1.0, gen
 
 
 def _expm_apply_reference(m, psi, tol, max_terms=fock.EXPM_MAX_TERMS):
@@ -410,7 +455,9 @@ def _expm_apply_reference(m, psi, tol, max_terms=fock.EXPM_MAX_TERMS):
 
 def _expm_cases():
     """(generator, state, tol, max_terms) covering the library's calls and
-    the edges of the stop test."""
+    the edges of the stop test.  Most edges are on diagonal generators,
+    which are applied exactly; the ones that end in an error in the series
+    come again at the end, kept in it by a corner entry."""
     rng = np.random.default_rng(12)
     ref = _expm_apply_reference
     cases = []
@@ -461,17 +508,23 @@ def _expm_cases():
     cases.append((50.0 * np.eye(4), np.ones(4), 1e-14, 5))
     cases.append((16.0 * np.eye(4), 1e308 * fock.fock_state(0, 4).amp, 1e-12, None))
     cases.append((-1j * number(4).entries, np.array([0.5, np.nan, 0, 0]), 1e-12, None))
-    # imaginary parts of -0.0: an elementwise product gives -0.0 at n = 0
-    # where zgemv's sums from +0 give +0
+    # imaginary parts of -0.0, whose signs the elementwise product keeps
     conj = fock.coherent_state(0.7, 16).amp.conj()
     cases.append((-0.5j * number(16).entries, conj, 1e-12, None))
     # a diagonal with complex entries, whose products round twice
     both_ways((0.05 - 0.9j) * number(40).entries, fock.coherent_state(0.9, 40).amp)
-    # a -0.0 part beside a subnormal one, which the prescale by 1/2 rounds
-    # to -0.0
+    # a -0.0 part beside a subnormal one, which the series' prescale by 1/2
+    # rounds to -0.0
     tiny = np.zeros(34, dtype=complex)
     tiny[0], tiny[1] = 1.0, complex(-0.0, -5e-324)
     cases.append((-0.6j * number(34).entries, tiny, 1e-12, None))
+    # the diagonal cases that end in an error in the series, which a corner
+    # entry of 1e-300 keeps them in: applied exactly, most return a state
+    for gen, st, tol, max_terms in [case for case in cases if _is_diagonal(case[0])]:
+        if isinstance(_expm_outcome(ref, gen, st, tol, max_terms), str):
+            gen = np.array(gen, dtype=complex)
+            gen[0, -1] = 1e-300
+            cases.append((gen, st, tol, max_terms))
     return cases
 
 
@@ -499,25 +552,29 @@ def _is_diagonal(gen):
 
 
 def test_expm_apply_equals_reference_loop():
-    # a dense generator takes the reference's product, so gives its bytes.
-    # A diagonal one is applied elementwise: each real or imaginary product
-    # rounds as zgemv's does, and only the sign of a zero may differ; a
-    # complex product may round its two parts otherwise, by an ulp or so
+    # a generator with an entry off its diagonal takes the reference's Taylor
+    # loop, so gives its bytes or its error text.  A diagonal one is applied
+    # exactly: the bytes of e^{M_nn} psi_n, or the error for a product that
+    # is not finite
     outcomes = []
     for case in _expm_cases():
         got = _expm_outcome(fock.expm_apply, *case)
-        ref = _expm_outcome(_expm_apply_reference, *case)
         outcomes.append(got)
-        if isinstance(ref, str) or not _is_diagonal(case[0]):
-            assert _outcome_bytes(got) == _outcome_bytes(ref), case[2:]
-        elif np.all((np.diagonal(case[0]).real == 0) | (np.diagonal(case[0]).imag == 0)):
-            assert np.array_equal(got, ref), case[2:]
+        if _is_diagonal(case[0]):
+            gen, st = fock.OperatorMatrix(case[0]), fock.FockVector(case[1])
+            with np.errstate(over="ignore"):
+                want = np.exp(np.diagonal(gen.entries)) * st.amp
+            if not np.isfinite(want).all():
+                want = "expm_apply produced non-finite amplitudes"
         else:
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * scale, case[2:]
+            want = _expm_outcome(_expm_apply_reference, *case)
+        assert _outcome_bytes(got) == _outcome_bytes(want), case[2:]
     errors = [o for o in outcomes if isinstance(o, str)]
     out_of_range = "outside [2^-511, 2^512), where its square sum is not a normal double"
     assert errors == [
+        "expm_apply produced non-finite amplitudes",  # 16 I on 1e308 |0>
+        "expm_apply produced non-finite amplitudes",  # -i N on a NaN state
+        # the same edges through the series, by the corner entry
         "expm_apply: no convergence in 160 terms per segment (segments=4, 1-norm=6.200e+01)",
         f"expm_apply: partial sum norm inf {out_of_range}",
         f"expm_apply: partial sum norm 8.636e-155 {out_of_range}",
@@ -567,21 +624,6 @@ def test_expm_apply_takes_the_dense_product_only_off_the_diagonal(monkeypatch):
             calls.clear()
             fock.expm_apply(fock.OperatorMatrix(gen), st)
             assert bool(calls) is takes_matmul, gen
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_expm_apply_diagonal_chunks_equal_reference_loop_bitwise(monkeypatch, chunk):
-    # one-term chunks are the plain Taylor loop; every place of a chunk
-    # boundary relative to the stopping term, and chunks cut short by
-    # max_terms, give the bytes and errors of the default chunks
-    cases = [case for case in _expm_cases() if _is_diagonal(case[0])]
-
-    def outcomes():
-        return [_outcome_bytes(_expm_outcome(fock.expm_apply, *case)) for case in cases]
-
-    default = outcomes()
-    monkeypatch.setattr(fock, "_DIAGONAL_CHUNK", chunk)
-    assert outcomes() == default
 
 
 @pytest.mark.parametrize(
