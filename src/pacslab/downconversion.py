@@ -79,13 +79,14 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
     pref = math.exp(-abs(p.alpha) ** 2 * math.tanh(p.r) ** 2 / 2.0) / math.cosh(p.r)
     # the seed column before the grid is allocated, so an amplitude out of
     # range fails first; its tail at dim_a is below the one checked next
-    col = pref * coherent_state(at, p.dim_a, tail_tol=1.0).amp
-    a_tail = coherent_tail_mass(at, headroom)
+    seed = coherent_state(at, p.dim_a, tail_tol=1.0).amp
+    a_tail = coherent_tail_mass(seed, at, headroom)
     if a_tail > norm_tol:
         raise TruncationError(
             f"dim_a={p.dim_a} too small for top column of dim_b={p.dim_b}", a_tail
         )
     amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
+    col = pref * seed
     amp[:, 0] = col
     for n in range(1, p.dim_b):
         col = (z / math.sqrt(n)) * create(col)

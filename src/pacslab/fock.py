@@ -17,7 +17,6 @@ from .errors import (
     NumericalFailureError,
     TruncationError,
 )
-from .specialfn import poisson_tail
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_EXPM_TOL = 1e-12
@@ -161,9 +160,26 @@ def number_matrix(dim: int) -> OperatorMatrix:
     return OperatorMatrix(np.diag(np.arange(dim, dtype=np.complex128)))
 
 
-def coherent_tail_mass(alpha: complex, dim: int) -> float:
-    """Analytic Poisson tail sum_{n>=dim} |<n|alpha>|^2."""
-    return poisson_tail(dim, abs(alpha) ** 2)
+def coherent_tail_mass(amp: np.ndarray, alpha: complex, cut: int) -> float:
+    """Poisson tail sum_{n>=cut} |<n|alpha>|^2 from the coherent amplitudes
+    ``amp`` of alpha, 1 <= cut <= len(amp); NaN for a NaN alpha.
+
+    Past the peak (cut > |alpha|^2): the sum of amp[cut:], continued by
+    p_n = p_{n-1} |alpha|^2 / n from |amp[-1]|^2 until a term is at most
+    1e-17 of it.  Up to the peak: 1 minus the head sum, since the squares
+    below the peak underflow above |alpha| of about 26.6.
+    """
+    mu = abs(alpha) ** 2
+    if cut <= mu:
+        return 1.0 - vdot(amp[:cut], amp[:cut]).real
+    tail = vdot(amp[cut:], amp[cut:]).real
+    term = abs(complex(amp[-1])) ** 2
+    n = len(amp)
+    while term > 1e-17 * tail:
+        term *= mu / n
+        tail += term
+        n += 1
+    return tail
 
 
 def coherent_state(
@@ -173,10 +189,9 @@ def coherent_state(
 
     Raises NumericalFailureError when e^{-|a|^2/2} underflows the normal
     double range (|a| above about 37.6): there it keeps too few digits for
-    the norm and reaches 0 at |a| of about 38.6.  This is checked before
-    the tail, whose series takes O(|a|) steps at the automatic truncations.
-    Raises TruncationError when the analytic Poisson tail beyond the
-    truncation exceeds ``tail_tol``.
+    the norm and reaches 0 at |a| of about 38.6.  This is checked first,
+    then dim >= 1 (ValueError); TruncationError when the tail of the built
+    amplitudes beyond dim (coherent_tail_mass) exceeds ``tail_tol``.
     """
     vacuum_amp = math.exp(-abs(alpha) ** 2 / 2.0)
     if vacuum_amp < sys.float_info.min:
@@ -184,15 +199,17 @@ def coherent_state(
             f"coherent amplitude {alpha}: exp(-|alpha|^2/2) = {vacuum_amp:.3g} "
             "underflows the double range"
         )
-    tail = coherent_tail_mass(alpha, dim)
-    if tail > tail_tol:
-        raise TruncationError(
-            f"dim={dim} too small for coherent amplitude {alpha}", tail
-        )
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     amp = np.zeros(dim, dtype=np.complex128)
     amp[0] = vacuum_amp
     for n in range(1, dim):
         amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    tail = coherent_tail_mass(amp, alpha, dim)
+    if tail > tail_tol:
+        raise TruncationError(
+            f"dim={dim} too small for coherent amplitude {alpha}", tail
+        )
     return FockVector(amp)
 
 
@@ -319,13 +336,14 @@ def expm_apply(
             for k in range(1, max_terms + 1):
                 term = np.matmul(m.entries, term) / (k * segments)
                 acc = acc + term
-                acc_norm = _l2_norms(acc)
+                with np.errstate(over="ignore"):  # an overflowing norm is raised just below
+                    acc_norm, term_norm = _l2_norms(acc), _l2_norms(term)
                 if not _NORM_MIN <= acc_norm < _NORM_MAX and np.isfinite(acc).all() and acc.any():
                     raise NumericalFailureError(
                         f"expm_apply: partial sum norm {acc_norm:.3e} outside "
                         "[2^-511, 2^512), where its square sum is not a normal double"
                     )
-                if _l2_norms(term) <= seg_tol * acc_norm:
+                if term_norm <= seg_tol * acc_norm:
                     break
             else:
                 raise NumericalFailureError(

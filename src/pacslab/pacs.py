@@ -45,7 +45,7 @@ def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector
         # every amplitude would be lifted past the truncation
         raise TruncationError(f"dim={dim} leaves no room for m={spec.m} additions", 1.0)
     amp = coherent_state(spec.alpha, dim, tail_tol=1.0).amp
-    tail = coherent_tail_mass(spec.alpha, dim - spec.m)
+    tail = coherent_tail_mass(amp, spec.alpha, dim - spec.m)
     if tail > DEFAULT_TAIL_TOL:
         raise TruncationError(
             f"dim={dim} too small for pacs(alpha={spec.alpha}, m={spec.m})", tail

@@ -4,8 +4,7 @@ Stirling numbers of the second kind are kept as exact Python integers (no
 floating point in the table); Laguerre polynomials use the stable three-term
 recurrence; log-factorials are a left-to-right sum of logs.  Bessel
 functions J_0..J_n come from one Miller backward recurrence (the Chebyshev
-coefficients of the pair propagator), and the Poisson tail P(N >= dim) from
-a saddle-point-scaled series (the coherent-state truncation check).
+coefficients of the pair propagator).
 """
 
 import math
@@ -127,55 +126,3 @@ def bessel_j_values(n_max: int, x: float) -> list:
     vals[0] = cur
     norm = math.fsum([cur, *(2.0 * v for v in vals[2::2])])
     return [v / norm for v in vals[: n_max + 1]]
-
-
-def _log_poisson_pmf(n: int, mu: float) -> float:
-    """ln(e^{-mu} mu^n / n!) for mu > 0.
-
-    From n = 50 on, in the saddle-point form
-    n ln(mu/n) - (mu - n) - ln sqrt(2 pi n) - stirling(n), whose error is a
-    few ulps of |mu - n|; the plain n ln mu - mu - lgamma(n + 1) loses
-    about 1e-12 to the rounding of its ~7000-sized terms at n ~ 1000.
-    """
-    if n < 50:
-        return n * math.log(mu) - mu - math.lgamma(n + 1)
-    d = mu - n
-    log_ratio = math.log1p(d / n) if abs(d) < 0.5 * n else math.log(mu / n)
-    inv = 1.0 / n
-    inv2 = inv * inv
-    # lgamma(n + 1) - (n + 1/2) ln n + n - ln sqrt(2 pi), to 4e-19 at n >= 50
-    stirling = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
-    return n * log_ratio - d - 0.5 * math.log(2.0 * math.pi * n) - stirling
-
-
-def poisson_tail(dim: int, mu: float) -> float:
-    """P(N >= dim) for N ~ Poisson(mu), dim >= 1.
-
-    For dim > mu, the series
-    e^{-mu} mu^dim / dim! * sum_k mu^k / ((dim+1)...(dim+k)), whose terms
-    fall at least as fast as mu / (dim+1); for dim <= mu, where the tail is
-    at least about 1/2, the complement of the head sum
-    e^{-mu} mu^(dim-1) / (dim-1)! * sum_k (dim-1)...(dim-k) / mu^k,
-    clamped at 0.  A NaN mu gives NaN.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if mu == 0.0:
-        return 0.0
-    if mu == math.inf:
-        return 1.0
-    term, total = 1.0, 1.0
-    if dim > mu:
-        k = dim
-        while term > 1e-17 * total:
-            k += 1
-            term *= mu / k
-            total += term
-        return math.exp(_log_poisson_pmf(dim, mu)) * total
-    k = dim - 1
-    while k > 0 and term > 1e-17 * total:
-        term *= k / mu
-        k -= 1
-        total += term
-    head = math.exp(_log_poisson_pmf(dim - 1, mu)) * total
-    return 0.0 if head > 1.0 else 1.0 - head

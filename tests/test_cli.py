@@ -287,6 +287,42 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         assert not out.exists(), args
 
 
+# the exact stderr line of truncations too small for the state they must
+# hold, tail mass digits included: the coherent check (dc-pm), pacs_state's
+# at dim - m (jc-curve, dc-overlap, below and above the peak of |alpha| = 30)
+# and dc_evolve_closed's at its headroom and on its norm (dc-ideal-check)
+TRUNCATION_FAILURES = [
+    (["--scenario", "jc-curve", "--dim-a", "5"],
+     "dim=5 too small for pacs(alpha=(0.8+0j), m=1) (tail mass 4.213e-03)"),
+    (["--scenario", "jc-curve", "--alpha", "30", "--dim-a", "40"],
+     "dim=40 too small for pacs(alpha=(30+0j), m=1) (tail mass 1.000e+00)"),
+    (["--scenario", "jc-curve", "--alpha", "30", "--dim-a", "900"],
+     "dim=900 too small for pacs(alpha=(30+0j), m=1) (tail mass 5.177e-01)"),
+    (["--scenario", "dc-overlap", "--alpha", "2.5", "--dim-a", "20"],
+     "dim=20 too small for pacs(alpha=(2.5+0j), m=1) (tail mass 3.028e-05)"),
+    (["--scenario", "dc-pm", "--alpha", "3", "--dim-a", "16"],
+     "dim=16 too small for coherent amplitude (3+0j) (tail mass 2.204e-02)"),
+    (["--scenario", "dc-ideal-check", "--dim-a", "20", "--dim-b", "8"],
+     "dims (20, 8) leave closed-form norm short of 1 (tail mass 4.005e-05)"),
+    (["--scenario", "dc-ideal-check", "--dim-a", "12", "--dim-b", "10", "--r", "0.5"],
+     "dim_a=12 too small for top column of dim_b=10 (tail mass 1.464e-02)"),
+    (["--scenario", "dc-ideal-check", "--alpha", "30", "--dim-a", "1000", "--r", "0.1"],
+     "dim_a=1000 too small for top column of dim_b=34 (tail mass 6.239e-03)"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    TRUNCATION_FAILURES,
+    ids=["-".join(args[1:]).replace("--", "") for args, _ in TRUNCATION_FAILURES],
+)
+def test_truncation_failures_pinned(tmp_path, capsys, args, reason):
+    out = tmp_path / "x.csv"
+    assert cli.main(args + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"pacslab: numerical failure: {reason}\n"
+    assert not out.exists()
+
+
 def test_memory_error_exits_3_without_output(tmp_path, capsys, monkeypatch):
     # a forced truncation too large to allocate; raised, not allocated, since
     # whether a huge allocation fails depends on the host's overcommit policy

@@ -1,11 +1,16 @@
+import cmath
 import math
+import time
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import eval_laguerre, gammainc, jv
 
-from pacslab import specialfn
-from pacslab.errors import NumericalFailureError
+from pacslab import fock, specialfn
+from pacslab.downconversion import DcParams, auto_dims, dc_evolve_closed
+from pacslab.errors import NumericalFailureError, TruncationError
+from pacslab.pacs import PacsSpec, pacs_state
 
 
 def partitions_into_blocks(n: int, k: int) -> int:
@@ -168,37 +173,82 @@ POISSON_MUS = [1e-8, 0.01, 0.64, 1.0, 2.25, 10.0, 99.5, 100.0, 400.0, 899.5, 900
 POISSON_DIMS = [1, 2, 5, 32, 48, 64, 100, 101, 200, 400, 401, 512, 899, 900, 901, 1000, 1156]
 
 
-@pytest.mark.parametrize("mu", POISSON_MUS)
-def test_poisson_tail_against_gammainc(mu):
-    for dim in sorted({*POISSON_DIMS, int(mu), int(mu) + 1, int(mu) + 2} - {0}):
-        ours = specialfn.poisson_tail(dim, mu)
-        ref = float(gammainc(dim, mu))
+def assert_poisson_tail(values, cut, mu):
+    """Each of ``values`` is P(N >= cut) for N ~ Poisson(mu)."""
+    ref = float(gammainc(cut, mu))
+    with mpmath.workdps(40):
+        exact = float(mpmath.gammainc(cut, 0, mu, regularized=True))
+    for ours in values:
         if ref >= 1e-3:
-            assert abs(ours - ref) <= 1e-13, dim
+            assert abs(ours - ref) <= 1e-13, cut
         elif ref >= 1e-20:
             # below ~1e-30 scipy's own gammainc drifts by ~1e-12 (mpmath below)
-            assert ours == pytest.approx(ref, rel=1e-12, abs=0.0), dim
-        with mpmath.workdps(40):
-            exact = float(mpmath.gammainc(dim, 0, mu, regularized=True))
+            assert ours == pytest.approx(ref, rel=1e-12, abs=0.0), cut
         if exact < 1e-3:
-            assert ours == pytest.approx(exact, rel=1e-12, abs=1e-300), dim
+            assert ours == pytest.approx(exact, rel=1e-12, abs=1e-300), cut
         else:
-            assert abs(ours - exact) <= 1e-13, dim
+            assert abs(ours - exact) <= 1e-13, cut
+
+
+@pytest.mark.parametrize("mu", POISSON_MUS)
+def test_poisson_tail_against_gammainc(mu):
+    # the coherent truncation tail, taken from the amplitudes of |alpha> with
+    # |alpha|^2 = mu (fock.coherent_tail_mass), real and complex: cut at the
+    # end of the amplitudes, as coherent_state takes it, and inside them;
+    # and pacs_state's cut dim - m, read off the TruncationError it raises
+    cuts = sorted({*POISSON_DIMS, int(mu), int(mu) + 1, int(mu) + 2} - {0})
+    for alpha in (math.sqrt(mu), cmath.rect(math.sqrt(mu), 2.0)):
+        amp = fock.coherent_state(alpha, cuts[-1] + 8, tail_tol=1.0).amp
+        for cut in cuts:
+            values = [
+                fock.coherent_tail_mass(amp[:cut], alpha, cut),
+                fock.coherent_tail_mass(amp, alpha, cut),
+            ]
+            if values[1] > fock.DEFAULT_TAIL_TOL:
+                with pytest.raises(TruncationError, match="too small for pacs") as exc:
+                    pacs_state(PacsSpec(alpha, 3), cut + 3)
+                values.append(exc.value.tail_mass)
+            assert_poisson_tail(values, cut, abs(alpha) ** 2)
 
 
 def test_poisson_tail_edges():
-    assert specialfn.poisson_tail(1, 0.0) == 0.0
-    assert specialfn.poisson_tail(1156, 0.0) == 0.0
+    for dim in (1, 1156):
+        assert fock.coherent_tail_mass(fock.coherent_state(0.0, dim).amp, 0.0, dim) == 0.0
     for mu in (1e-12, 0.3, 5.0, 900.0):
-        assert specialfn.poisson_tail(1, mu) == pytest.approx(-math.expm1(-mu), rel=1e-14)
-    # both sides of dim = mu: the series and the complement meet
-    below = specialfn.poisson_tail(900, 900.0)
-    above = specialfn.poisson_tail(901, 900.0)
+        alpha = math.sqrt(mu)
+        for dim in (1, 64):
+            amp = fock.coherent_state(alpha, dim, tail_tol=1.0).amp
+            tail = fock.coherent_tail_mass(amp, alpha, 1)
+            assert tail == pytest.approx(-math.expm1(-abs(alpha) ** 2), rel=1e-14)
+    # both sides of cut = mu: the complement of the head and the tail sum meet
+    amp = fock.coherent_state(30.0, 1156, tail_tol=1.0).amp
+    below = fock.coherent_tail_mass(amp, 30.0, 900)
+    above = fock.coherent_tail_mass(amp, 30.0, 901)
     assert 0.0 < above < below < 1.0
     with mpmath.workdps(40):
         pmf = float(mpmath.exp(-900) * mpmath.mpf(900) ** 900 / mpmath.factorial(900))
     assert below - above == pytest.approx(pmf, rel=1e-12)
-    assert specialfn.poisson_tail(3, math.inf) == 1.0
-    assert math.isnan(specialfn.poisson_tail(3, math.nan))
-    with pytest.raises(ValueError):
-        specialfn.poisson_tail(0, 1.0)
+    # dc_evolve_closed's headroom cut dim_a - (dim_b - 1) of |alpha / cosh r>,
+    # on auto_dims sizes and, read off its TruncationError, on small ones
+    for alpha, r in [(0.8, 0.0), (0.8, 1.0), (1.5j, 2.0), (3.0, 0.5), (10 + 5j, 0.3),
+                     (25.0, 0.2), (cmath.rect(5.0, 1.0), 1.2)]:
+        dim_a, dim_b = auto_dims(alpha, r)
+        p = DcParams(alpha, r, dim_a=dim_a, dim_b=dim_b)
+        at = p.alpha_eff()
+        amp = fock.coherent_state(at, dim_a, tail_tol=1.0).amp
+        cut = dim_a - (dim_b - 1)
+        assert_poisson_tail([fock.coherent_tail_mass(amp, at, cut)], cut, abs(at) ** 2)
+    for p in (DcParams(0.8, 0.5, dim_a=12, dim_b=10), DcParams(3j, 1.0, dim_a=30, dim_b=20)):
+        with pytest.raises(TruncationError, match="top column") as exc:
+            dc_evolve_closed(p)
+        cut = p.dim_a - (p.dim_b - 1)
+        assert_poisson_tail([exc.value.tail_mass], cut, abs(p.alpha_eff()) ** 2)
+    # an infinite |alpha| underflows e^{-|alpha|^2/2} before any tail; a NaN
+    # one gives a NaN state at once; no amplitudes, no tail at dim 0
+    with pytest.raises(NumericalFailureError, match="underflows"):
+        fock.coherent_state(math.inf, 3)
+    start = time.perf_counter()
+    assert np.isnan(fock.coherent_state(math.nan, 32).amp).all()
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        fock.coherent_state(0.8, 0)
