@@ -19,10 +19,10 @@ from .fock import (
     TwoModeState,
     coherent_state,
     coherent_tail_mass,
-    create,
     default_dim,
     fock_state,
     inner_product,
+    ladder,
     project_b,
     tensor_product,
 )
@@ -34,6 +34,8 @@ DEFAULT_DIM_B = 24
 DEFAULT_NORM_TOL = 1e-6
 DEFAULT_EVOLVE_TOL = 1e-13
 DEFAULT_TAIL_TARGET = 1e-9
+# grid columns dc_evolve_closed builds per block
+CLOSED_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,13 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
     built by a stable column recurrence (no explicit factorials).  The total
     norm is checked against 1 rather than renormalized, so a transcription
     error or an undersized truncation surfaces as TruncationError instead of
-    being masked.
+    being masked.  The headroom and seed-tail checks run before the grid is
+    allocated.
+
+    Each column is computed in place as a row of a C-order block of
+    CLOSED_BLOCK columns, by the two products of (z / sqrt(n)) create(col),
+    and each block is copied into the grid at once; the grid is the only
+    array of its size.
     """
     at = p.alpha_eff()
     headroom = p.dim_a - (p.dim_b - 1)
@@ -85,12 +93,24 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
         raise TruncationError(
             f"dim_a={p.dim_a} too small for top column of dim_b={p.dim_b}", a_tail
         )
-    amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
-    col = pref * seed
-    amp[:, 0] = col
-    for n in range(1, p.dim_b):
-        col = (z / math.sqrt(n)) * create(col)
-        amp[:, n] = col
+    amp = np.empty((p.dim_a, p.dim_b), dtype=np.complex128)
+    # columns are built as the rows of a C-order block, in place, and copied
+    # into the grid a block at a time
+    block = np.empty((min(CLOSED_BLOCK, p.dim_b), p.dim_a), dtype=np.complex128)
+    band = ladder(p.dim_a)
+    for n in range(p.dim_b):
+        row = block[n % CLOSED_BLOCK]
+        if n == 0:
+            np.multiply(pref, seed, out=row)
+        else:
+            # (z / sqrt(n)) * create(col), operands in that order
+            row[0] = 0.0
+            np.multiply(band, col[:-1], out=row[1:])
+            np.multiply(z / math.sqrt(n), row, out=row)
+        col = row
+        if n % CLOSED_BLOCK == CLOSED_BLOCK - 1 or n == p.dim_b - 1:
+            n0 = n - n % CLOSED_BLOCK
+            amp[:, n0 : n + 1] = block[: n + 1 - n0].T
     state = TwoModeState(amp)
     deficit = abs(1.0 - state.norm_sq())
     if deficit > norm_tol:
@@ -290,11 +310,14 @@ def spacs_overlap_closed(alpha: complex, r: float) -> float:
     [(1 + |alpha|^2 / cosh^2 r) / (1 + |alpha|^2)]
       * exp[-|alpha|^2 (1 - 1 / cosh^2 r)].
 
-    Evaluated verbatim.  The cross-validation suite shows this expression
-    disagrees with the brute-force normalized overlap of the two states it
-    nominally describes (see spacs_overlap_numeric) everywhere except r = 0
-    and the r -> infinity saturation; both routes are therefore emitted
-    side by side and never silently reconciled.
+    Evaluated verbatim.  With beta = alpha / cosh r it equals
+    [L_1(-|beta|^2) / L_1(-|alpha|^2)] e^{-|alpha|^2 tanh^2 r}, since
+    L_1(-y) = 1 + y and 1 - 1 / cosh^2 r = tanh^2 r.  The cross-validation
+    suite shows this expression disagrees with the brute-force normalized
+    overlap of the two states it nominally describes (see
+    spacs_overlap_numeric) everywhere except r = 0 and the r -> infinity
+    saturation; both routes are therefore emitted side by side and never
+    silently reconciled.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")

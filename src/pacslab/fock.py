@@ -8,6 +8,7 @@ pure function of its inputs, so parameter sweeps can run concurrently.
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,16 +183,40 @@ def coherent_tail_mass(amp: np.ndarray, alpha: complex, cut: int) -> float:
     return tail
 
 
+# coherent amplitude vectors kept, one per (alpha, dim): a state is asked for
+# again soon after it is built (a pair grid, then its conditioned targets),
+# so a library-sweep pass reuses as much with 4 entries as with 32
+COHERENT_STATES = 8
+
+
+@lru_cache(maxsize=COHERENT_STATES, typed=True)
+def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple | None) -> np.ndarray:
+    """The read-only amplitudes of coherent_state.  ``signs``, the signs of
+    alpha's parts, only keys the cache: 0.0 and -0.0 are equal keys whose
+    amplitudes differ in the sign of their zeros."""
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, dim):
+        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    amp.flags.writeable = False
+    return amp
+
+
 def coherent_state(
     alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> FockVector:
-    """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
+    """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!), read-only.
 
     Raises NumericalFailureError when e^{-|a|^2/2} underflows the normal
     double range (|a| above about 37.6): there it keeps too few digits for
     the norm and reaches 0 at |a| of about 38.6.  This is checked first,
     then dim >= 1 (ValueError); TruncationError when the tail of the built
-    amplitudes beyond dim (coherent_tail_mass) exceeds ``tail_tol``.
+    amplitudes beyond dim (coherent_tail_mass) exceeds ``tail_tol``, which
+    is taken only for tail_tol < 1, as the tail is at most 1.
+
+    The amplitudes come from one recurrence per (alpha, dim), kept in a
+    bounded cache (COHERENT_STATES entries) and shared, read-only, by every
+    state built on them; an alpha that cannot be hashed is built afresh.
     """
     vacuum_amp = math.exp(-abs(alpha) ** 2 / 2.0)
     if vacuum_amp < sys.float_info.min:
@@ -201,15 +226,17 @@ def coherent_state(
         )
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[0] = vacuum_amp
-    for n in range(1, dim):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
-    tail = coherent_tail_mass(amp, alpha, dim)
-    if tail > tail_tol:
-        raise TruncationError(
-            f"dim={dim} too small for coherent amplitude {alpha}", tail
-        )
+    try:
+        signs = (math.copysign(1.0, alpha.real), math.copysign(1.0, alpha.imag))
+        amp = _coherent_amplitudes(alpha, dim, signs)
+    except TypeError:  # alpha cannot be hashed
+        amp = _coherent_amplitudes.__wrapped__(alpha, dim, None)
+    if tail_tol < 1.0:
+        tail = coherent_tail_mass(amp, alpha, dim)
+        if tail > tail_tol:
+            raise TruncationError(
+                f"dim={dim} too small for coherent amplitude {alpha}", tail
+            )
     return FockVector(amp)
 
 

@@ -2,13 +2,14 @@
 
 Stirling numbers of the second kind are kept as exact Python integers (no
 floating point in the table); Laguerre polynomials use the stable three-term
-recurrence; log-factorials are a left-to-right sum of logs.  Bessel
-functions J_0..J_n come from one Miller backward recurrence (the Chebyshev
-coefficients of the pair propagator).
+recurrence, kept per argument in bounded tables; log-factorials are a
+left-to-right sum of logs.  Bessel functions J_0..J_n come from one Miller
+backward recurrence (the Chebyshev coefficients of the pair propagator).
 """
 
 import math
-from functools import cache
+import operator
+from functools import cache, lru_cache
 
 from .errors import NumericalFailureError
 
@@ -67,11 +68,48 @@ def laguerre_values(m_max: int, x: float):
         yield cur
 
 
-def laguerre(m: int, x: float) -> float:
-    """Laguerre polynomial L_m(x), the last of ``laguerre_values(m, x)``."""
-    for value in laguerre_values(m, x):
+# tables of L_0(x)..L_cap(x) kept, one per (cap, x); a table of 513 orders
+# takes about 16 kB, and an ascending loop to order 512 builds 7 tables
+LAGUERRE_TABLES = 16
+
+
+@lru_cache(maxsize=LAGUERRE_TABLES, typed=True)
+def _laguerre_table(cap: int, x: float) -> tuple:
+    """``laguerre_values(cap, x)`` up to its first non-finite order, if any."""
+    values = []
+    try:
+        for value in laguerre_values(cap, x):
+            values.append(value)
+    except NumericalFailureError:
         pass
-    return value
+    return tuple(values)
+
+
+def laguerre(m: int, x: float) -> float:
+    """Laguerre polynomial L_m(x), bit for bit the last of
+    ``laguerre_values(m, x)``.
+
+    Read from a table of L_0(x)..L_cap(x), cap the next power of two >= m
+    (at least 8, at most LAGUERRE_M_MAX), built once per (cap, x) and kept
+    in a bounded cache, so an ascending loop over m costs one recurrence
+    rather than one per order.  The table stops at its first non-finite
+    order; NumericalFailureError names that order when it is <= m.
+    """
+    m = operator.index(m)
+    if m < 0:
+        raise ValueError("order m must be nonnegative")
+    if m > LAGUERRE_M_MAX:
+        raise ValueError(f"order m must not exceed {LAGUERRE_M_MAX}")
+    cap = min(max(8, 1 << (m - 1).bit_length()), LAGUERRE_M_MAX)
+    try:
+        table = _laguerre_table(cap, x)
+    except TypeError:  # an x that cannot be hashed or is not real: uncached
+        for value in laguerre_values(m, x):
+            pass
+        return value
+    if m >= len(table):
+        raise NumericalFailureError(f"laguerre({len(table)}, {x}) left the double range")
+    return table[m]
 
 
 def log_factorial(n: int) -> float:

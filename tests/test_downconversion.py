@@ -314,3 +314,49 @@ def test_params_validation():
         dc.DcParams(0.8, -0.1)
     with pytest.raises(ValueError):
         dc.p_m(0.8, 1.0, -1)
+
+
+def _closed_reference(p):
+    """dc_evolve_closed's grid as its column loop built it before the block:
+    the seed loop, then one band shift a+ (fock.create's body) and one
+    scalar product per column, each column written into the grid."""
+    at = p.alpha_eff()
+    z = -1j * np.exp(1j * p.phi) * math.tanh(p.r)
+    pref = math.exp(-abs(p.alpha) ** 2 * math.tanh(p.r) ** 2 / 2.0) / math.cosh(p.r)
+    seed = np.zeros(p.dim_a, dtype=np.complex128)
+    seed[0] = math.exp(-abs(at) ** 2 / 2.0)
+    for n in range(1, p.dim_a):
+        seed[n] = seed[n - 1] * at / math.sqrt(n)
+    band = np.sqrt(np.arange(1.0, p.dim_a))
+    amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
+    col = pref * seed
+    amp[:, 0] = col
+    for n in range(1, p.dim_b):
+        lifted = np.zeros(p.dim_a, np.complex128)
+        lifted[1:] = band * col[:-1]
+        col = (z / math.sqrt(n)) * lifted
+        amp[:, n] = col
+    return amp
+
+
+def test_closed_blocks_equal_the_column_loop_bitwise():
+    # dim_b around the 32-column block (one column, one block short of full,
+    # one full, one past, two full and one past), criterion 02's large grid,
+    # then seeded automatic dims with complex alpha
+    points = [
+        dc.DcParams(0.8, 1e-4, 0.3, 24, 1),
+        dc.DcParams(0.8 - 0.3j, 0.4, 1.1, 60, 31),
+        dc.DcParams(-0.5j, 0.5, -2.0, 64, 32),
+        dc.DcParams(1.2, 0.45, 0.0, 70, 33),
+        dc.DcParams(0.6 + 0.6j, 0.7, 2.9, 101, 65),
+        dc.DcParams(-0.0, 0.9, math.pi, 80, 65),
+        dc.DcParams(0.8j, 2.0, 0.7, *dc.auto_dims(0.8j, 2.0)),
+    ]
+    rng = np.random.default_rng(20)
+    for _ in range(8):
+        alpha = complex(*rng.uniform(-1.5, 1.5, 2))
+        r, phi = rng.uniform(0.05, 2.0), rng.uniform(-math.pi, math.pi)
+        points.append(dc.DcParams(alpha, r, phi, *dc.auto_dims(alpha, r)))
+    assert {p.dim_b for p in points} >= {1, 31, 32, 33, 65} and max(p.dim_b for p in points) > 96
+    for p in points:
+        assert dc.dc_evolve_closed(p).amp.tobytes() == _closed_reference(p).tobytes(), p

@@ -74,6 +74,63 @@ def test_coherent_state_underflow_raises():
     assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
+def _coherent_reference(alpha, dim):
+    """coherent_state's amplitude loop as it ran on every call before its
+    cache: numpy-scalar products, one per level."""
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, dim):
+        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    return amp
+
+
+def test_cached_coherent_amplitudes_equal_the_loop_bitwise():
+    # real, complex and numpy-scalar alphas, signed zeros among them (equal
+    # as keys, different in the bytes of their amplitudes), each built and
+    # then read back from the cache, which the list overflows
+    fock._coherent_amplitudes.cache_clear()
+    rng = np.random.default_rng(20)
+    alphas = [
+        0.0, -0.0, 0.8, -0.8, 2, 3j, -3j, complex(-0.0, 0.0), complex(0.0, -0.0),
+        0.8 + 0j, np.float64(0.8), np.float64(-0.0), np.complex128(0.7 + 0.4j),
+        np.float32(0.5), np.int64(1), True,
+        *(complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(12)),
+        *(float(a) for a in rng.uniform(-3.0, 3.0, 6)),
+    ]
+    for alpha in alphas:
+        for dim in (1, 2, 33, 64):
+            for _ in range(2):
+                amp = fock.coherent_state(alpha, dim, tail_tol=1.0).amp
+                assert amp.tobytes() == _coherent_reference(alpha, dim).tobytes(), (alpha, dim)
+                assert not amp.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    amp[0] = 1.0
+    info = fock._coherent_amplitudes.cache_info()
+    assert info.hits == info.misses == len(alphas) * 4
+    # an alpha that cannot be hashed is built afresh, to the same bytes
+    amp = fock.coherent_state(np.array(0.7 - 0.2j), 40).amp
+    assert amp.tobytes() == _coherent_reference(np.array(0.7 - 0.2j), 40).tobytes()
+
+
+def test_cached_coherent_amplitudes_keep_every_check():
+    # a cached entry built with tail_tol=1 still fails the default tail, with
+    # the tail of the reference amplitudes, and the checks keep their order
+    fock._coherent_amplitudes.cache_clear()
+    fock.coherent_state(2.0, 6, tail_tol=1.0)
+    text = r"^dim=6 too small for coherent amplitude 2.0 \(tail mass 2.149e-01\)$"
+    with pytest.raises(TruncationError, match=text) as exc:
+        fock.coherent_state(2.0, 6)
+    assert exc.value.tail_mass == fock.coherent_tail_mass(_coherent_reference(2.0, 6), 2.0, 6)
+    with pytest.raises(NumericalFailureError, match="underflows"):
+        fock.coherent_state(40.0, 0)
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        fock.coherent_state(0.8, 0)
+    start = time.perf_counter()
+    assert np.isnan(fock.coherent_state(math.nan, 32).amp).all()
+    assert np.isnan(fock.coherent_state(math.nan, 32).amp).all()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_inner_product_examples():
     st = fock.coherent_state(0.8, 32)
     assert fock.inner_product(st, st).real == pytest.approx(st.norm_sq(), rel=1e-14)
@@ -218,6 +275,54 @@ def test_only_fock_sums_amplitudes():
         if isinstance(node, ast.Attribute) and node.attr in ("dot", "vdot", "vecdot")
     ]
     assert sums == [("vecdot", True)]
+
+
+def test_every_cache_with_arguments_is_bounded():
+    # a functools cache keyed on arguments keeps every distinct input it has
+    # seen unless its maxsize is finite: over a long sweep that is a leak.
+    # Only an argument-free table (stirling_table) may use the unbounded cache
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    bounded, stray = {}, []
+    for path in sorted(Path(fock.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        consts = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        seen = set()
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = func.args
+            takes_args = bool(a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg)
+            for dec in func.decorator_list:
+                seen.update({id(dec), id(getattr(dec, "func", dec))})
+                if name(dec) == "cache":
+                    bounded[func.name] = not takes_args
+                elif name(dec) == "lru_cache":
+                    size = 128  # a bare @lru_cache
+                    if isinstance(dec, ast.Call):
+                        given = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+                        if given:
+                            size = getattr(given[0], "value", consts.get(getattr(given[0], "id", None)))
+                    bounded[func.name] = type(size) is int and size > 0
+        # a cache made by a call rather than a decorator is not vetted above
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and name(node) in ("cache", "lru_cache")
+            and id(node) not in seen
+        ]
+    assert not stray, stray
+    assert [f for f, ok in bounded.items() if not ok] == []
+    assert {"stirling_table", "_laguerre_table", "_coherent_amplitudes"} <= set(bounded)
 
 
 def test_l2_norm_is_numpy_norm_bitwise():

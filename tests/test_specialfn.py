@@ -1,5 +1,8 @@
 import cmath
+import contextlib
 import math
+import random
+import struct
 import time
 
 import mpmath
@@ -113,6 +116,72 @@ def test_laguerre_order_cap():
         specialfn.laguerre(513, 0.1)
     with pytest.raises(NumericalFailureError):
         specialfn.laguerre(400, -1e6)
+
+
+def _laguerre_reference(m_max, x):
+    """Laguerre's recurrence from order 0, as laguerre ran it for every call
+    before its tables: L_0..L_{m_max}, or up to the first non-finite order,
+    with that order."""
+    values, prev, cur = [1.0], 0.0, 1.0
+    for k in range(1, m_max + 1):
+        prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+        if not math.isfinite(cur):
+            return values, k
+        values.append(cur)
+    return values, None
+
+
+@pytest.mark.parametrize("x", [-377.9, -2.5, -0.64, 0.0, 0.3, 4.0, 60.0, -1e6, math.nan])
+def test_laguerre_tables_equal_the_recurrence_bitwise(x):
+    # every order up to the cap, asked for in shuffled order so that tables
+    # of every cap are built in every order, each value compared by its bytes
+    specialfn._laguerre_table.cache_clear()
+    ref, bad = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
+    values = []
+    with pytest.raises(NumericalFailureError) if bad else contextlib.nullcontext():
+        for value in specialfn.laguerre_values(specialfn.LAGUERRE_M_MAX, x):
+            values.append(value)
+    assert struct.pack(f"<{len(ref)}d", *ref) == struct.pack(f"<{len(values)}d", *values)
+    orders = list(range(specialfn.LAGUERRE_M_MAX + 1))
+    random.Random(f"laguerre/{x}").shuffle(orders)
+    for m in orders:
+        if m < len(ref):
+            got = specialfn.laguerre(m, x)
+            assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", ref[m]), (m, x)
+        else:
+            with pytest.raises(NumericalFailureError) as exc:
+                specialfn.laguerre(m, x)
+            assert str(exc.value) == f"laguerre({bad}, {x}) left the double range"
+    if 7 < len(ref):
+        assert specialfn.laguerre(np.int64(7), x) == ref[7]
+    with pytest.raises(ValueError, match="^order m must be nonnegative$"):
+        specialfn.laguerre(-1, x)
+    with pytest.raises(ValueError, match="^order m must not exceed 512$"):
+        specialfn.laguerre(513, x)
+    with pytest.raises(TypeError):
+        specialfn.laguerre(2.0, x)
+
+
+def test_laguerre_orders_below_an_overflow_survive_a_larger_table():
+    # the table of cap 512 stops where the values leave the double range; an
+    # order below that still reads its value, from that table or a smaller one
+    for x in (-1e6, -377.9):
+        specialfn._laguerre_table.cache_clear()
+        ref, bad = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
+        assert bad is not None
+        with pytest.raises(NumericalFailureError, match=rf"^laguerre\({bad}, {x}\) left"):
+            specialfn.laguerre(specialfn.LAGUERRE_M_MAX, x)
+        for m in (bad - 1, bad // 2, 3, 0):
+            assert specialfn.laguerre(m, x) == ref[m], (x, m)
+    # equal arguments of other types keep their own tables, so the type of a
+    # value and the text of an error do not depend on what was asked first;
+    # a 0-d array, which cannot be hashed, takes the recurrence uncached
+    with pytest.raises(NumericalFailureError, match=r"^laguerre\(67, -1000000\) left"):
+        specialfn.laguerre(100, -1000000)
+    assert type(specialfn.laguerre(5, -0.3)) is float
+    assert type(specialfn.laguerre(5, np.float64(-0.3))) is np.float64
+    assert specialfn.laguerre(5, np.float64(-0.3)) == _laguerre_reference(5, -0.3)[0][5]
+    assert specialfn.laguerre(5, np.array(-0.3)) == _laguerre_reference(5, -0.3)[0][5]
 
 
 def test_log_factorial():
