@@ -9,8 +9,6 @@ output.
 
 import argparse
 import cmath
-import hashlib
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -46,6 +44,8 @@ class RunConfig:
     fmt: str
 
     def fingerprint(self) -> str:
+        import hashlib  # OpenSSL's libcrypto: loaded by JSON runs only
+
         payload = (
             f"scenario={self.scenario}\n"
             f"alpha={self.alpha.real!r},{self.alpha.imag!r}\n"
@@ -312,6 +312,8 @@ def write_csv(columns, rows) -> str:
 
 
 def write_json(columns, rows, fingerprint: str) -> str:
+    import json  # a csv run never loads it
+
     payload = []
     for row in rows:
         obj = {}

@@ -135,7 +135,7 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
             coef *= tau * tau / ((2 * n - 1) * (2 * n))
         e_term = coef * w
         g_term = (coef * tau / (2 * n + 1)) * create(w)
-        if not (np.all(np.isfinite(e_term)) and np.all(np.isfinite(g_term))):
+        if not (np.isfinite(e_term).all() and np.isfinite(g_term).all()):
             raise NumericalFailureError(
                 f"series term {n} non-finite at beta_t={p.beta_t}, dim={dim}; "
                 "the partial sums are diverging"
@@ -192,10 +192,18 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     norms = [None] + [
         math.sqrt(pacs_norm_sq(PacsSpec(p.alpha, m))) for m in range(1, m_max + 1)
     ]
+    # bracket -> weight[n][m], each computed once for the table and the sums
+    bracket_weights = {
+        bracket: [
+            [None] + [_expansion_weight(n, m, p.alpha, bracket) for m in range(1, m_max + 1)]
+            for n in range(n_max + 1)
+        ]
+        for bracket in BRACKET_VARIANTS
+    }
     table = np.zeros((n_max + 1, m_max + 1), dtype=np.complex128)
-    for n in range(n_max + 1):
+    for n, row in enumerate(bracket_weights["with_factorial"]):
         for m in range(1, m_max + 1):
-            table[n, m] = _expansion_weight(n, m, p.alpha, "with_factorial") * norms[m]
+            table[n, m] = row[m] * norms[m]
 
     oracle, _ = normalize(jc_evolve_exact(oracle_params).field_g.amp)
     tau = -1j * p.beta_t
@@ -210,13 +218,9 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     ]
 
     fidelities = {}
-    for bracket in BRACKET_VARIANTS:
+    for bracket, weight in bracket_weights.items():
         weights = [None] + [
-            norms[m]
-            * sum(
-                prefs[n] * _expansion_weight(n, m, p.alpha, bracket)
-                for n in range(n_max + 1)
-            )
+            norms[m] * sum(prefs[n] * weight[n][m] for n in range(n_max + 1))
             for m in range(1, m_max + 1)
         ]
         for basis in BASIS_VARIANTS:
@@ -290,6 +294,9 @@ def jc_overlap_curve(
     for i in suspects:
         _check_rabi_phase(JcParams(alpha, beta_t_grid[i], dim))
     c = coherent_state(alpha, dim).amp
+    # CurvePoint(...) runs the NamedTuple's Python-level __new__; this builds
+    # the same instance in C
+    new_point = tuple.__new__
     points = []
     for start in range(0, len(beta_t_grid), CURVE_BLOCK):
         block = beta_t_grid[start : start + CURVE_BLOCK]
@@ -302,5 +309,5 @@ def jc_overlap_curve(
                 continue
             for m, ov in zip(m_list, row):
                 mod = abs(ov)  # Python's complex abs: np.abs rounds differently
-                points.append(CurvePoint(bt, m, mod, mod * mod, prob))
+                points.append(new_point(CurvePoint, (bt, m, mod, mod * mod, prob)))
     return points

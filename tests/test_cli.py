@@ -451,18 +451,38 @@ def test_verify_json_output(capsys):
     }
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; importing it costs about half of a CLI call
+def _fresh_python(code, *args):
+    """stdout lines of `python -c code args` in a fresh interpreter that
+    imports this checkout's pacslab."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it costs about half of a CLI call
     code = (
         "import sys, pacslab.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh_python(code) == ["[]"]
+
+
+def test_csv_runs_load_no_hashlib_or_json(tmp_path):
+    # only the JSON records use them; hashlib loads OpenSSL's libcrypto
+    code = (
+        "import sys, pacslab.cli as cli\n"
+        "codes = []\n"
+        f"for scenario in {cli.SCENARIOS!r}:\n"
+        "    out = f'{sys.argv[1]}/{scenario}.csv'\n"
+        "    codes.append(cli.main(['--scenario', scenario, '--format', 'csv', '--out', out]))\n"
+        "print(codes, sorted({'hashlib', '_hashlib', 'json'} & set(sys.modules)))"
     )
-    assert out.stdout.strip() == "[]"
+    # the summaries come first; verify exits 3 on its red-by-design check
+    assert _fresh_python(code, str(tmp_path))[-1] == "[0, 0, 0, 0, 3] []"
 
 
 # totality: every scenario, given only options it reads, ends in a

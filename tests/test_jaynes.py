@@ -220,7 +220,10 @@ def test_overlap_curve_equals_per_point_evaluation(alpha, dim):
     # empty branches at 0 and 1e-160, then a grid longer than two blocks
     grid = [0.0, 1e-160, 1e-8, *np.linspace(1e-3, 170.0, 2 * CURVE_BLOCK + 3)]
     ms = [1, 3, 2]
-    assert jc_overlap_curve(alpha, grid, ms, dim=dim) == _curve_per_point(alpha, grid, ms, dim)
+    curve = jc_overlap_curve(alpha, grid, ms, dim=dim)
+    assert curve == _curve_per_point(alpha, grid, ms, dim)
+    # equal tuples are not enough: checks.curve_rows reads each point's _asdict()
+    assert all(type(point) is CurvePoint for point in curve)
 
 
 def test_overlap_curve_builds_each_state_once(monkeypatch):
