@@ -1,4 +1,4 @@
-"""Truncated-Fock-space states, operators and the brute-force evolution oracle.
+"""Truncated-Fock-space states, operators and the exact diagonal exponential.
 
 Everything is dense complex128 over the number basis |0>..|dim-1>.  All
 values are treated as immutable after construction and every operation is a
@@ -21,7 +21,6 @@ from .errors import (
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_EXPM_TOL = 1e-12
-EXPM_MAX_TERMS = 160
 
 
 @dataclass(eq=False)
@@ -284,48 +283,16 @@ def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
     return FockVector(unit), float(prob)
 
 
-def apply_operator(m: OperatorMatrix, psi: FockVector) -> FockVector:
-    if m.dim != psi.dim:
-        raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
-    return FockVector(m.entries @ psi.amp)
+def expm_apply(m: OperatorMatrix, psi: FockVector, tol: float = DEFAULT_EXPM_TOL) -> FockVector:
+    """e^M psi for a generator M with no nonzero entry off its diagonal
+    (-i theta N, say), applied exactly, as e^{M_nn} psi_n (Moler and Van
+    Loan, SIAM Rev. 45, 3 (2003)).  ``tol`` must be positive; the exact
+    product does not read it.
 
-
-def _l2_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row (last axis) of ``x``: its arithmetic, one
-    strided dot per part through vdot_rows, without its Python wrapper."""
-    return np.sqrt(vdot_rows(x.real, x.real) + vdot_rows(x.imag, x.imag))
-
-
-# |acc| must lie in [_NORM_MIN, _NORM_MAX), where its square sum is a normal
-# double; outside it the stop test compares norms that have lost their digits
-_NORM_MIN = 2.0**-511
-_NORM_MAX = 2.0**512
-# segments of 1-norm <= 16 the series may take: a 1-norm up to 65,536
-EXPM_MAX_SEGMENTS = 4096
-
-
-def expm_apply(
-    m: OperatorMatrix,
-    psi: FockVector,
-    tol: float = DEFAULT_EXPM_TOL,
-    max_terms: int = EXPM_MAX_TERMS,
-) -> FockVector:
-    """e^M psi.  ValueError for a non-finite entry of M; NumericalFailureError
-    for a result that is not finite.
-
-    With no nonzero entry off its diagonal (-i theta N, say), M is applied
-    exactly, as e^{M_nn} psi_n (Moler and Van Loan, SIAM Rev. 45, 3 (2003)),
-    whatever ``tol`` and ``max_terms``; NumericalFailureError when some
-    |e^{M_nn}| is not a finite normal double (Re M_nn outside about
-    [-708, 709]), where the product would lose its digits.
-
-    Any other M takes a segmented Taylor series with term-norm stopping
-    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)), relative
-    accuracy ~tol, on psi times 2^-e, whose largest real or imaginary part is
-    in [0.5, 1); the sum is multiplied back by 2^e, both exactly.  It raises
-    NumericalFailureError past EXPM_MAX_SEGMENTS segments, when a segment
-    does not converge in ``max_terms``, and when a finite, nonzero partial
-    sum's norm leaves [2^-511, 2^512), where the stop test loses its digits.
+    ValueError for a non-finite entry of M, then for a nonzero entry off its
+    diagonal; NumericalFailureError when some |e^{M_nn}| is not a finite
+    normal double (Re M_nn outside about [-708, 709]), where the product
+    would lose its digits, and for a result that is not finite.
     """
     if m.dim != psi.dim:
         raise DimensionMismatchError(f"dims differ: {m.dim} vs {psi.dim}")
@@ -334,51 +301,17 @@ def expm_apply(
     if not np.isfinite(m.entries).all():
         raise ValueError("expm_apply: generator entries must be finite")
     diag = np.diagonal(m.entries)
-    if np.count_nonzero(m.entries) == np.count_nonzero(diag):
-        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-            factors = np.exp(diag)
-            sizes = np.abs(factors)
-            acc = factors * psi.amp
-        if not np.all((sizes >= sys.float_info.min) & (sizes < np.inf)):
-            raise NumericalFailureError(
-                "expm_apply: some |e^M_nn| is not a finite normal double "
-                f"(Re M_nn from {diag.real.min():.3e} to {diag.real.max():.3e})"
-            )
-    else:
-        with np.errstate(over="ignore"):  # an infinite 1-norm is raised just below
-            norm_one = float(np.max(np.sum(np.abs(m.entries), axis=0)))
-        if not norm_one <= 16.0 * EXPM_MAX_SEGMENTS:
-            raise NumericalFailureError(
-                f"expm_apply: 1-norm {norm_one:.3e} needs over {EXPM_MAX_SEGMENTS} segments"
-            )
-        segments = max(1, int(math.ceil(norm_one / 16.0)))  # 1-norm <= 16 per segment
-        seg_tol = tol / (2.0 * segments)
-        # the parts as float64, whose abs cannot overflow as a complex abs can;
-        # e is clamped so that 2^-e and 2^e are both finite
-        top = float(np.max(np.abs(psi.amp.view(np.float64))))
-        e = min(max(math.frexp(top)[1], -1021), 1023) if math.isfinite(top) else 0
-        acc = psi.amp * 2.0**-e
-        for _ in range(segments):
-            term = acc
-            for k in range(1, max_terms + 1):
-                term = np.matmul(m.entries, term) / (k * segments)
-                acc = acc + term
-                with np.errstate(over="ignore"):  # an overflowing norm is raised just below
-                    acc_norm, term_norm = _l2_norms(acc), _l2_norms(term)
-                if not _NORM_MIN <= acc_norm < _NORM_MAX and np.isfinite(acc).all() and acc.any():
-                    raise NumericalFailureError(
-                        f"expm_apply: partial sum norm {acc_norm:.3e} outside "
-                        "[2^-511, 2^512), where its square sum is not a normal double"
-                    )
-                if term_norm <= seg_tol * acc_norm:
-                    break
-            else:
-                raise NumericalFailureError(
-                    f"expm_apply: no convergence in {max_terms} terms per segment "
-                    f"(segments={segments}, 1-norm={norm_one:.3e})"
-                )
-        with np.errstate(over="ignore"):  # an overflow is raised just below
-            acc = acc * 2.0**e
+    if np.count_nonzero(m.entries) != np.count_nonzero(diag):
+        raise ValueError("expm_apply: generator has a nonzero entry off its diagonal")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        factors = np.exp(diag)
+        sizes = np.abs(factors)
+        acc = factors * psi.amp
+    if not np.all((sizes >= sys.float_info.min) & (sizes < np.inf)):
+        raise NumericalFailureError(
+            "expm_apply: some |e^M_nn| is not a finite normal double "
+            f"(Re M_nn from {diag.real.min():.3e} to {diag.real.max():.3e})"
+        )
     if not np.all(np.isfinite(acc)):
         raise NumericalFailureError("expm_apply produced non-finite amplitudes")
     return FockVector(acc)
