@@ -19,12 +19,14 @@ from .fock import (
     TwoModeState,
     coherent_state,
     coherent_tail_mass,
+    complex_ladder,
     default_dim,
     fock_state,
     inner_product,
     ladder,
     project_b,
     tensor_product,
+    vdot_rows,
 )
 from .pacs import PacsSpec, pacs_overlap, pacs_state
 from .specialfn import LAGUERRE_M_MAX, bessel_j_values, laguerre_values
@@ -73,9 +75,13 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
     allocated.
 
     Each column is computed in place as a row of a C-order block of
-    CLOSED_BLOCK columns, by the two products of (z / sqrt(n)) create(col),
-    and each block is copied into the grid at once; the grid is the only
-    array of its size.
+    CLOSED_BLOCK columns, by the two products of (z / sqrt(n)) create(col):
+    the complex band fock.complex_ladder times the column above, then the
+    column's factor, all factors from one division z / fock.ladder(dim_b).
+    The block's row 0 carries the last column of the block before.  Each
+    finished block is copied into the grid at once, and its column norms
+    (fock.vdot_rows) are kept for the norm check, so the grid is the only
+    array of its size and is not read again.
     """
     at = p.alpha_eff()
     headroom = p.dim_a - (p.dim_b - 1)
@@ -94,30 +100,36 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
             f"dim_a={p.dim_a} too small for top column of dim_b={p.dim_b}", a_tail
         )
     amp = np.empty((p.dim_a, p.dim_b), dtype=np.complex128)
-    # columns are built as the rows of a C-order block, in place, and copied
-    # into the grid a block at a time
-    block = np.empty((min(CLOSED_BLOCK, p.dim_b), p.dim_a), dtype=np.complex128)
-    band = ladder(p.dim_a)
-    for n in range(p.dim_b):
-        row = block[n % CLOSED_BLOCK]
-        if n == 0:
-            np.multiply(pref, seed, out=row)
-        else:
-            # (z / sqrt(n)) * create(col), operands in that order
-            row[0] = 0.0
-            np.multiply(band, col[:-1], out=row[1:])
-            np.multiply(z / math.sqrt(n), row, out=row)
-        col = row
-        if n % CLOSED_BLOCK == CLOSED_BLOCK - 1 or n == p.dim_b - 1:
-            n0 = n - n % CLOSED_BLOCK
-            amp[:, n0 : n + 1] = block[: n + 1 - n0].T
-    state = TwoModeState(amp)
-    deficit = abs(1.0 - state.norm_sq())
+    norms = np.empty(p.dim_b)
+    size = min(CLOSED_BLOCK, p.dim_b)
+    block = np.zeros((size + 1, p.dim_a), dtype=np.complex128)
+    # block row i + 1 holds column n0 + i, row 0 the column before; each
+    # column is (z / sqrt(n)) create(col), operands in that order: the band
+    # product writes row[1:] from the row above, then the factor scales the
+    # whole row, whose entry 0 is +0 before it
+    rows = list(block)
+    steps = [(above[:-1], row[1:], row) for above, row in zip(rows, rows[1:])]
+    factors = list(z / ladder(p.dim_b))
+    band = complex_ladder(p.dim_a)
+    np.multiply(pref, seed, out=rows[1])
+    for n0 in range(0, p.dim_b, CLOSED_BLOCK):
+        n1 = min(n0 + CLOSED_BLOCK, p.dim_b)
+        if n0 > 0:
+            block[0] = block[size]
+            block[1:, 0] = 0.0
+        lo = max(n0, 1)
+        for (above, lifted, row), factor in zip(steps[lo - n0 : n1 - n0], factors[lo - 1 :]):
+            np.multiply(band, above, out=lifted)
+            np.multiply(factor, row, out=row)
+        done = block[1 : n1 - n0 + 1]
+        amp[:, n0:n1] = done.T
+        norms[n0:n1] = vdot_rows(done, done).real
+    deficit = abs(1.0 - math.fsum(norms.tolist()))
     if deficit > norm_tol:
         raise TruncationError(
             f"dims ({p.dim_a}, {p.dim_b}) leave closed-form norm short of 1", deficit
         )
-    return state
+    return TwoModeState(amp)
 
 
 def _pair_chains(n_chains: int, dim_a: int, dim_b: int, scale: float):
@@ -242,7 +254,9 @@ def conditional_mpacs(state: TwoModeState, m: int, alpha_eff: complex) -> Condit
 
 
 def _p_m_values(alpha: complex, r: float, m_max: int):
-    """p_m for m = 0..m_max from one Laguerre recurrence (see p_m)."""
+    """p_m for m = 0..m_max (see p_m), its Laguerre values read from
+    specialfn.laguerre's tables: auto_dims, p_m and p_m_cumulative at one
+    (alpha, r) share one recurrence."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0.0:

@@ -82,7 +82,13 @@ class TwoModeState:
         return self.amp.shape[1]
 
     def norm_sq(self) -> float:
-        return vdot(self.amp, self.amp).real
+        """The correctly rounded sum of the row norms.
+
+        OpenBLAS splits a zdotc longer than 10,000 entries over its threads,
+        so a whole-grid vdot would wait on a second core and round by the
+        thread count; a row of dim_b entries stays on the calling thread.
+        """
+        return math.fsum(vdot_rows(self.amp, self.amp).real.tolist())
 
 
 def default_dim(alpha: complex) -> int:
@@ -91,35 +97,58 @@ def default_dim(alpha: complex) -> int:
     return max(32, int(math.ceil(a * a + 8.0 * a + 16.0)))
 
 
-# sqrt(1), sqrt(2), ... for the largest dim asked for so far; each band views
-# its head, as a block kept per dim fragments the heap (+1 MB peak RSS)
+# sqrt(1), sqrt(2), ... for the largest dim asked for so far, and its complex
+# twin sqrt(n) + 0j; each band views its head, as a block kept per dim
+# fragments the heap (+1 MB peak RSS)
 _SQRT_N = np.zeros(0)
+_SQRT_N_COMPLEX = np.zeros(0, np.complex128)
 
 
 def ladder(dim: int) -> np.ndarray:
     """The read-only ladder band sqrt(1..dim-1)."""
-    global _SQRT_N
+    global _SQRT_N, _SQRT_N_COMPLEX
     if dim < 1:
         raise ValueError("dim must be >= 1")
     band = _SQRT_N
     if len(band) < dim - 1:
         band = np.sqrt(np.arange(1.0, dim))
-        band.flags.writeable = False
-        _SQRT_N = band
+        twin = band.astype(np.complex128)
+        band.flags.writeable = twin.flags.writeable = False
+        _SQRT_N, _SQRT_N_COMPLEX = band, twin
     return band[: dim - 1]
+
+
+def complex_ladder(dim: int) -> np.ndarray:
+    """ladder(dim) as read-only complex128, sqrt(n) + 0j: a product with a
+    complex vector skips the cast of the real band and gives the same bits.
+
+    A factor with a zero imaginary part gives the same bits in either
+    operand order, in a contiguous product and in an accumulate alike, so a
+    recurrence over the real ladder factors may run as one
+    np.multiply.accumulate (jaynes.jc_evolve_series).  A recurrence with a complex factor stays
+    step by step, each step one product in its operand order with its own
+    output: numpy's SIMD complex multiply fuses multiply-adds, c*x and x*c
+    round differently there, and an accumulate, whose output overlaps its
+    input, runs a loop that does not fuse them.  That holds for the
+    z/sqrt(n) columns of downconversion.dc_evolve_closed and the
+    alpha/sqrt(n) coherent amplitudes.
+    """
+    if not 0 < dim <= len(_SQRT_N_COMPLEX) + 1:
+        ladder(dim)
+    return _SQRT_N_COMPLEX[: dim - 1]
 
 
 def create(amp: np.ndarray) -> np.ndarray:
     """a+ as a band shift: (a+ amp)[n] = sqrt(n) amp[n-1], truncated at dim."""
     out = np.zeros(len(amp), np.complex128)
-    out[1:] = ladder(len(amp)) * amp[:-1]
+    out[1:] = complex_ladder(len(amp)) * amp[:-1]
     return out
 
 
 def annihilate(amp: np.ndarray) -> np.ndarray:
     """a as a band shift: (a amp)[n] = sqrt(n+1) amp[n+1]."""
     out = np.zeros(len(amp), np.complex128)
-    out[:-1] = ladder(len(amp)) * amp[1:]
+    out[:-1] = complex_ladder(len(amp)) * amp[1:]
     return out
 
 
@@ -254,7 +283,9 @@ def inner_product(psi: FockVector, phi: FockVector) -> complex:
 
 def fidelity(psi: FockVector | TwoModeState, phi: FockVector | TwoModeState) -> float:
     """|<psi|phi>|^2 between the normalized states, single- or two-mode."""
-    return abs(vdot(psi.amp, phi.amp)) ** 2 / (psi.norm_sq() * phi.norm_sq())
+    # the norms are summed as the overlap is, by one vdot over the whole array
+    norms = vdot(psi.amp, psi.amp).real * vdot(phi.amp, phi.amp).real
+    return abs(vdot(psi.amp, phi.amp)) ** 2 / norms
 
 
 def normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

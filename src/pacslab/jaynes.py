@@ -17,9 +17,8 @@ import numpy as np
 from .errors import NumericalFailureError
 from .fock import (
     FockVector,
-    annihilate,
     coherent_state,
-    create,
+    complex_ladder,
     default_dim,
     inner_product,
     ladder,
@@ -27,14 +26,14 @@ from .fock import (
     normalize_rows,
     vdot_rows,
 )
-from .pacs import PacsSpec, pacs_norm_sq, pacs_state
+from .pacs import PacsSpec, pacs_kets, pacs_norm_sq, pacs_state
 from .specialfn import stirling2
 
-BRACKET_VARIANTS = ("with_factorial", "plain")
 BASIS_VARIANTS = ("raw", "normalized")
 # above this the doubles around a Rabi phase are 1 rad apart: cos/sin keep no digit
 RABI_PHASE_MAX = 2.0**52
-# beta_t rows of jc_overlap_curve evaluated together: memory O(CURVE_BLOCK * dim)
+# beta_t rows of jc_overlap_curve, and terms of jc_evolve_series, evaluated
+# together: memory O(CURVE_BLOCK * dim)
 CURVE_BLOCK = 64
 
 
@@ -116,45 +115,63 @@ def jc_evolve_exact(p: JcParams) -> JointAtomFieldState:
 def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     """Partial sums of the evolution-operator power series.
 
-    Terms are built by repeated ladder-operator application, each operator
-    an O(dim) band shift (fock.create, fock.annihilate): the even powers
-    contribute (a a+)^n |alpha> to the upper branch, the odd powers
-    a+ (a a+)^n |alpha> to the lower one.  Converges to jc_evolve_exact.
+    The even powers contribute (a a+)^n |alpha> to the upper branch, the
+    odd powers a+ (a a+)^n |alpha> to the lower one.  Converges to
+    jc_evolve_exact.
+
+    On the Fock index k, a+ then a multiply amplitude k by sqrt(k+1) twice,
+    so the chain |alpha>, a+|alpha>, a a+|alpha>, ... is one
+    np.multiply.accumulate over the real ladder factors (fock.complex_ladder
+    gives it the bits of the band shifts fock.create and fock.annihilate);
+    a (a a+)^n row ends in 0 and an a+ (a a+)^n row starts with 0, as the
+    band shifts leave them.  Each branch's terms are weighted by one
+    broadcast product and summed in row order by one np.add.reduce from a
+    zero row, CURVE_BLOCK terms at a time, so memory stays
+    O(CURVE_BLOCK * dim).  NumericalFailureError names the first term that
+    is not finite.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     dim = p.resolved_dim()
     w = coherent_state(p.alpha, dim).amp
     tau = -1j * p.beta_t
-    e_amp = np.zeros(dim, dtype=np.complex128)
-    g_amp = np.zeros(dim, dtype=np.complex128)
     coef = 1.0 + 0.0j
-    for n in range(n_terms):
-        if n > 0:
-            w = annihilate(create(w))
-            coef *= tau * tau / ((2 * n - 1) * (2 * n))
-        e_term = coef * w
-        g_term = (coef * tau / (2 * n + 1)) * create(w)
-        if not (np.isfinite(e_term).all() and np.isfinite(g_term).all()):
-            raise NumericalFailureError(
-                f"series term {n} non-finite at beta_t={p.beta_t}, dim={dim}; "
-                "the partial sums are diverging"
-            )
-        e_amp += e_term
-        g_amp += g_term
-    return JointAtomFieldState(FockVector(e_amp), FockVector(g_amp))
-
-
-def _expansion_weight(n: int, m: int, alpha: complex, bracket: str) -> complex:
-    s_nm = stirling2(n, m) if m <= n else 0
-    s_nm1 = stirling2(n, m - 1) if m - 1 <= n else 0
-    if bracket == "with_factorial":
-        inner = m * s_nm + s_nm1 * math.factorial(m) * alpha
-    elif bracket == "plain":
-        inner = m * s_nm + s_nm1
-    else:
-        raise ValueError(f"unknown bracket variant {bracket!r}")
-    return alpha ** (m - 1) * inner
+    rows = 2 * min(n_terms, CURVE_BLOCK)
+    # chain row j sits in columns 1..dim-1 between two zero columns: row 2n
+    # is (a a+)^n |alpha> read from column 1, row 2n+1 its a+ read from 0
+    chain = np.zeros((rows, dim + 1), dtype=np.complex128)
+    factors = np.empty((rows, dim - 1), dtype=np.complex128)
+    factors[1:] = complex_ladder(dim)
+    factors[0] = w[:-1]
+    chain[0, dim] = w[-1]
+    # each sum row, then the weighted terms of one block
+    e_terms = np.zeros((rows // 2 + 1, dim), dtype=np.complex128)
+    g_terms = np.zeros((rows // 2 + 1, dim), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        for n0 in range(0, n_terms, CURVE_BLOCK):
+            k = min(CURVE_BLOCK, n_terms - n0)
+            coefs, g_coefs = [], []
+            for n in range(n0, n0 + k):
+                if n > 0:
+                    coef *= tau * tau / ((2 * n - 1) * (2 * n))
+                coefs.append(coef)
+                g_coefs.append(coef * tau / (2 * n + 1))
+            if n0 > 0:
+                np.multiply(chain[rows - 1, 1:dim], factors[1], out=factors[0])
+                chain[0, dim] = 0.0
+            np.multiply.accumulate(factors[: 2 * k], axis=0, out=chain[: 2 * k, 1:dim])
+            e_rows, g_rows = e_terms[1 : k + 1], g_terms[1 : k + 1]
+            np.multiply(np.array(coefs)[:, None], chain[0 : 2 * k : 2, 1:], out=e_rows)
+            np.multiply(np.array(g_coefs)[:, None], chain[1 : 2 * k : 2, :dim], out=g_rows)
+            finite = np.isfinite(e_rows).all(axis=1) & np.isfinite(g_rows).all(axis=1)
+            if not finite.all():
+                raise NumericalFailureError(
+                    f"series term {n0 + int(np.argmin(finite))} non-finite at "
+                    f"beta_t={p.beta_t}, dim={dim}; the partial sums are diverging"
+                )
+            for terms in (e_terms, g_terms):
+                terms[0] = np.add.reduce(terms[: k + 1], axis=0)
+    return JointAtomFieldState(FockVector(e_terms[0].copy()), FockVector(g_terms[0].copy()))
 
 
 @dataclass(eq=False)
@@ -189,20 +206,28 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     # the highest-order basis state needs m_max levels of headroom
     dim = p.dim if p.dim is not None else default_dim(p.alpha) + m_max
     oracle_params = JcParams(p.alpha, p.beta_t, dim)
-    norms = [None] + [
-        math.sqrt(pacs_norm_sq(PacsSpec(p.alpha, m))) for m in range(1, m_max + 1)
+    alpha, orders = p.alpha, range(1, m_max + 1)
+    norms = [None] + [math.sqrt(pacs_norm_sq(PacsSpec(alpha, m))) for m in orders]
+    # alpha^{m-1}, m! and S(n, m) (0 for m > n) read once for all weights
+    powers = [None] + [alpha ** (m - 1) for m in orders]
+    factorials = [None] + [math.factorial(m) for m in orders]
+    stirling = [
+        [stirling2(n, k) for k in range(n + 1)] + [0] * (m_max - n)
+        for n in range(n_max + 1)
     ]
-    # bracket -> weight[n][m], each computed once for the table and the sums
+    # bracket -> weight[n][m], alpha^{m-1} [m S(n,m) + S(n,m-1) m! alpha] for
+    # "with_factorial" and alpha^{m-1} [m S(n,m) + S(n,m-1)] for "plain",
+    # each computed once for the table and the sums
     bracket_weights = {
-        bracket: [
-            [None] + [_expansion_weight(n, m, p.alpha, bracket) for m in range(1, m_max + 1)]
-            for n in range(n_max + 1)
-        ]
-        for bracket in BRACKET_VARIANTS
+        "with_factorial": [
+            [None] + [powers[m] * (m * s[m] + s[m - 1] * factorials[m] * alpha) for m in orders]
+            for s in stirling
+        ],
+        "plain": [[None] + [powers[m] * (m * s[m] + s[m - 1]) for m in orders] for s in stirling],
     }
     table = np.zeros((n_max + 1, m_max + 1), dtype=np.complex128)
     for n, row in enumerate(bracket_weights["with_factorial"]):
-        for m in range(1, m_max + 1):
+        for m in orders:
             table[n, m] = row[m] * norms[m]
 
     oracle, _ = normalize(jc_evolve_exact(oracle_params).field_g.amp)
@@ -212,20 +237,19 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     prefs[0] = tau
     for n in range(1, n_max + 1):
         prefs[n] = prefs[n - 1] * tau * tau / ((2 * n) * (2 * n + 1))
+    prefs = list(prefs)  # the same numpy scalars, taken out once
 
-    kets_raw = [None] + [
-        pacs_state(PacsSpec(p.alpha, m), dim).amp for m in range(1, m_max + 1)
-    ]
+    kets_raw = [None, *pacs_kets(alpha, m_max, dim)]
 
     fidelities = {}
     for bracket, weight in bracket_weights.items():
         weights = [None] + [
-            norms[m] * sum(prefs[n] * weight[n][m] for n in range(n_max + 1))
-            for m in range(1, m_max + 1)
+            norms[m] * sum(pref * row[m] for pref, row in zip(prefs, weight))
+            for m in orders
         ]
         for basis in BASIS_VARIANTS:
             rec = np.zeros(dim, dtype=np.complex128)
-            for m in range(1, m_max + 1):
+            for m in orders:
                 ket = kets_raw[m] if basis == "raw" else kets_raw[m] / norms[m]
                 rec += weights[m] * ket
             vec = FockVector(rec)

@@ -34,13 +34,11 @@ class PacsSpec:
             raise ValueError("photon-addition order m must be nonnegative")
 
 
-def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector:
-    """Fock amplitudes of the order-m photon-added coherent state.
-
-    Each creation application shifts weight one level up, so the coherent
-    tail check is enforced at dim - m rather than dim, after the coherent
-    state's own range check.
-    """
+def _checked_coherent(spec: PacsSpec, dim: int):
+    """The coherent amplitudes under pacs_state, after its checks in their
+    order: room for m additions, then the coherent state's own range check,
+    then its tail at dim - m, since each creation application shifts weight
+    one level up."""
     if dim <= spec.m:
         # every amplitude would be lifted past the truncation
         raise TruncationError(f"dim={dim} leaves no room for m={spec.m} additions", 1.0)
@@ -50,9 +48,29 @@ def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector
         raise TruncationError(
             f"dim={dim} too small for pacs(alpha={spec.alpha}, m={spec.m})", tail
         )
+    return amp
+
+
+def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector:
+    """Fock amplitudes of the order-m photon-added coherent state: m
+    creation applications to the coherent state (see _checked_coherent for
+    the truncation checks)."""
+    amp = _checked_coherent(spec, dim)
     for _ in range(spec.m):
         amp = create(amp)
     return normalize(amp)[0] if normalized else FockVector(amp)
+
+
+def pacs_kets(alpha: complex, m_max: int, dim: int) -> list:
+    """The raw amplitudes of pacs_state(PacsSpec(alpha, m), dim) for
+    m = 1..m_max, bit for bit, as one chain of creation applications; each
+    order is checked as pacs_state checks it, in ascending order."""
+    kets, amp = [], None
+    for m in range(1, m_max + 1):
+        seed = _checked_coherent(PacsSpec(alpha, m), dim)
+        amp = create(seed if amp is None else amp)
+        kets.append(amp)
+    return kets
 
 
 def pacs_norm_sq(spec: PacsSpec) -> float:

@@ -9,6 +9,7 @@ backward recurrence (the Chebyshev coefficients of the pair propagator).
 
 import math
 import operator
+import threading
 from functools import cache, lru_cache
 
 from .errors import NumericalFailureError
@@ -46,70 +47,108 @@ def stirling2(n: int, k: int) -> int:
     return stirling_table()[n][k]
 
 
+# tables of L_0(x).. kept, one per argument x; a table of 513 orders takes
+# about 16 kB
+LAGUERRE_TABLES = 16
+# laguerre grows a table that is too short to the next multiple of this
+# order above m, so an ascending loop over m runs few scans
+LAGUERRE_CHUNK = 16
+# a table only grows, and one scan at a time appends to it
+_LAGUERRE_GROWTH = threading.Lock()
+
+
+@lru_cache(maxsize=LAGUERRE_TABLES, typed=True)
+def _laguerre_table(x: float) -> list:
+    """x's table L_0(x)..L_k(x), as far as laguerre_values has run at x; a
+    value that is not finite ends it."""
+    return [1.0]
+
+
+def _left_range(order: int, x: float) -> NumericalFailureError:
+    return NumericalFailureError(f"laguerre({order}, {x}) left the double range")
+
+
 def laguerre_values(m_max: int, x: float):
     """L_0(x), L_1(x), ..., L_{m_max}(x) from one three-term recurrence.
 
     L_0 = 1, k L_k = (2k-1-x) L_{k-1} - (k-1) L_{k-2} (so L_1 = 1 - x).
     For x < 0 every series term is positive, so the recurrence is
     cancellation-free on the arguments used here.  Raises
-    NumericalFailureError at the first order whose value leaves the double
-    range (a non-finite value stays non-finite at every higher order).
+    NumericalFailureError when it reaches the first order whose value
+    leaves the double range (a non-finite value stays non-finite at every
+    higher order).
+
+    Each order is computed once per x: the scan reads x's table (kept in a
+    bounded cache of LAGUERRE_TABLES arguments) as far as it goes and runs
+    the recurrence on from there.  When the scan stops, however early, what
+    it computed, a non-finite value included, is appended to the table,
+    unless another scan has grown it meanwhile.  An x that cannot be hashed
+    gets a table of its own.
     """
     if m_max < 0:
         raise ValueError("order m must be nonnegative")
     if m_max > LAGUERRE_M_MAX:
         raise ValueError(f"order m must not exceed {LAGUERRE_M_MAX}")
-    prev, cur = 0.0, 1.0
-    yield cur
-    for k in range(1, m_max + 1):
-        prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
-        if not math.isfinite(cur):
-            raise NumericalFailureError(f"laguerre({k}, {x}) left the double range")
-        yield cur
-
-
-# tables of L_0(x)..L_cap(x) kept, one per (cap, x); a table of 513 orders
-# takes about 16 kB, and an ascending loop to order 512 builds 7 tables
-LAGUERRE_TABLES = 16
-
-
-@lru_cache(maxsize=LAGUERRE_TABLES, typed=True)
-def _laguerre_table(cap: int, x: float) -> tuple:
-    """``laguerre_values(cap, x)`` up to its first non-finite order, if any."""
-    values = []
     try:
-        for value in laguerre_values(cap, x):
-            values.append(value)
-    except NumericalFailureError:
-        pass
-    return tuple(values)
+        table = _laguerre_table(x)
+    except TypeError:
+        table = [1.0]
+    start = len(table)
+    end = start if math.isfinite(table[start - 1]) else start - 1
+    yield from table[: min(end, m_max + 1)]
+    if end > m_max:
+        return
+    if end < start:
+        raise _left_range(end, x)
+    prev, cur = table[start - 2] if start > 1 else 0.0, table[start - 1]
+    run = []
+    append = run.append
+    try:
+        for k in range(start, m_max + 1):
+            prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+            finite = math.isfinite(cur)
+            append(cur)
+            if not finite:
+                raise _left_range(k, x)
+            yield cur
+    finally:
+        with _LAGUERRE_GROWTH:
+            if len(table) == start:
+                table.extend(run)
 
 
 def laguerre(m: int, x: float) -> float:
     """Laguerre polynomial L_m(x), bit for bit the last of
     ``laguerre_values(m, x)``.
 
-    Read from a table of L_0(x)..L_cap(x), cap the next power of two >= m
-    (at least 8, at most LAGUERRE_M_MAX), built once per (cap, x) and kept
-    in a bounded cache, so an ascending loop over m costs one recurrence
-    rather than one per order.  The table stops at its first non-finite
-    order; NumericalFailureError names that order when it is <= m.
+    Read from x's table; one that is too short is first grown by a scan to
+    the next multiple of LAGUERRE_CHUNK above m (at most LAGUERRE_M_MAX),
+    so an ascending loop over m costs one recurrence rather than one per
+    order.  NumericalFailureError names the first order that left the
+    double range when it is <= m.
     """
     m = operator.index(m)
     if m < 0:
         raise ValueError("order m must be nonnegative")
     if m > LAGUERRE_M_MAX:
         raise ValueError(f"order m must not exceed {LAGUERRE_M_MAX}")
-    cap = min(max(8, 1 << (m - 1).bit_length()), LAGUERRE_M_MAX)
     try:
-        table = _laguerre_table(cap, x)
-    except TypeError:  # an x that cannot be hashed or is not real: uncached
-        for value in laguerre_values(m, x):
-            pass
-        return value
-    if m >= len(table):
-        raise NumericalFailureError(f"laguerre({len(table)}, {x}) left the double range")
-    return table[m]
+        table = _laguerre_table(x)
+    except TypeError:  # an x that cannot be hashed: a scan of its own
+        top = m
+    else:
+        if m < len(table) and math.isfinite(table[m]):
+            return table[m]
+        top = min((m // LAGUERRE_CHUNK + 1) * LAGUERRE_CHUNK, LAGUERRE_M_MAX)
+    found = None
+    try:
+        for k, value in enumerate(laguerre_values(top, x)):
+            if k == m:
+                found = value
+    except NumericalFailureError:
+        if found is None:
+            raise
+    return found
 
 
 def log_factorial(n: int) -> float:

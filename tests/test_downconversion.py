@@ -1,12 +1,15 @@
+import cmath
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from pacslab import downconversion as dc
-from pacslab import checks, fock
-from pacslab.errors import EmptyBranchError, TruncationError
+from pacslab import checks, fock, specialfn
+from pacslab.errors import EmptyBranchError, NumericalFailureError, TruncationError
 from pacslab.pacs import PacsSpec, pacs_state
 from pacslab.specialfn import LAGUERRE_M_MAX, laguerre
 
@@ -316,17 +319,27 @@ def test_params_validation():
         dc.p_m(0.8, 1.0, -1)
 
 
-def _closed_reference(p):
-    """dc_evolve_closed's grid as its column loop built it before the block:
-    the seed loop, then one band shift a+ (fock.create's body) and one
-    scalar product per column, each column written into the grid."""
+def _closed_reference(p, norm_tol=dc.DEFAULT_NORM_TOL):
+    """dc_evolve_closed as its column loop built it before the blocks: the
+    headroom and seed-tail checks, the seed loop, then one band shift a+
+    (fock.create's body with the real band) and one scalar product per
+    column, each column written into the grid, then the norm of the whole
+    grid checked."""
     at = p.alpha_eff()
+    headroom = p.dim_a - (p.dim_b - 1)
+    if headroom < 1:
+        raise TruncationError(f"dim_a={p.dim_a} below dim_b-1={p.dim_b - 1} column reach", 1.0)
     z = -1j * np.exp(1j * p.phi) * math.tanh(p.r)
     pref = math.exp(-abs(p.alpha) ** 2 * math.tanh(p.r) ** 2 / 2.0) / math.cosh(p.r)
     seed = np.zeros(p.dim_a, dtype=np.complex128)
     seed[0] = math.exp(-abs(at) ** 2 / 2.0)
     for n in range(1, p.dim_a):
         seed[n] = seed[n - 1] * at / math.sqrt(n)
+    a_tail = fock.coherent_tail_mass(seed, at, headroom)
+    if a_tail > norm_tol:
+        raise TruncationError(
+            f"dim_a={p.dim_a} too small for top column of dim_b={p.dim_b}", a_tail
+        )
     band = np.sqrt(np.arange(1.0, p.dim_a))
     amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
     col = pref * seed
@@ -336,27 +349,136 @@ def _closed_reference(p):
         lifted[1:] = band * col[:-1]
         col = (z / math.sqrt(n)) * lifted
         amp[:, n] = col
+    deficit = abs(1.0 - np.vdot(amp, amp).real)
+    if deficit > norm_tol:
+        raise TruncationError(
+            f"dims ({p.dim_a}, {p.dim_b}) leave closed-form norm short of 1", deficit
+        )
     return amp
 
 
 def test_closed_blocks_equal_the_column_loop_bitwise():
     # dim_b around the 32-column block (one column, one block short of full,
-    # one full, one past, two full and one past), criterion 02's large grid,
-    # then seeded automatic dims with complex alpha
+    # one full, one past, two full, two full and one past), at phi = 0 and
+    # phi != 0, criterion 02's large grid, then seeded automatic dims with
+    # complex alpha
     points = [
         dc.DcParams(0.8, 1e-4, 0.3, 24, 1),
         dc.DcParams(0.8 - 0.3j, 0.4, 1.1, 60, 31),
         dc.DcParams(-0.5j, 0.5, -2.0, 64, 32),
         dc.DcParams(1.2, 0.45, 0.0, 70, 33),
+        dc.DcParams(0.7, 0.6, 0.0, 100, 64),
+        dc.DcParams(0.7 - 0.2j, 0.6, 1.9, 100, 64),
         dc.DcParams(0.6 + 0.6j, 0.7, 2.9, 101, 65),
         dc.DcParams(-0.0, 0.9, math.pi, 80, 65),
         dc.DcParams(0.8j, 2.0, 0.7, *dc.auto_dims(0.8j, 2.0)),
+        dc.DcParams(0.8, 2.0, 0.0, *dc.auto_dims(0.8, 2.0)),
     ]
     rng = np.random.default_rng(20)
     for _ in range(8):
         alpha = complex(*rng.uniform(-1.5, 1.5, 2))
         r, phi = rng.uniform(0.05, 2.0), rng.uniform(-math.pi, math.pi)
         points.append(dc.DcParams(alpha, r, phi, *dc.auto_dims(alpha, r)))
-    assert {p.dim_b for p in points} >= {1, 31, 32, 33, 65} and max(p.dim_b for p in points) > 96
+    dims_b = {p.dim_b for p in points}
+    assert dims_b >= {1, 31, 32, 33, 64, 65} and max(dims_b) > 96
+    assert {p.phi == 0.0 for p in points} == {True, False}
     for p in points:
         assert dc.dc_evolve_closed(p).amp.tobytes() == _closed_reference(p).tobytes(), p
+
+
+def test_closed_truncation_errors_equal_the_column_loop():
+    # every undersized grid raises the reference's error with its text, the
+    # tail mass or norm deficit printed to four digits included
+    cases = [
+        dc.DcParams(0.8, 1.0, 0.3, 20, 8),
+        dc.DcParams(0.8, 1.0, 0.0, 20, 8),
+        dc.DcParams(0.8, 0.5, 0.0, 12, 10),
+        dc.DcParams(0.8, 1.0, 0.3, 5, 10),
+        dc.DcParams(0.8, 2.0, 0.0),
+        dc.DcParams(1.2 - 0.4j, 1.5, 2.0, 60, 33),
+        dc.DcParams(0.5, 1.8, -1.0, 90, 65),
+        dc.DcParams(30.0, 0.1, 0.0, 1000, 34),
+    ]
+    for p in cases:
+        with pytest.raises(TruncationError) as got:
+            dc.dc_evolve_closed(p)
+        with pytest.raises(TruncationError) as want:
+            _closed_reference(p)
+        assert str(got.value) == str(want.value), p
+        assert got.value.tail_mass == pytest.approx(want.value.tail_mass, rel=1e-12, abs=1e-15)
+
+
+def _p_m_reference(alpha, r, m_max):
+    """p_m for m = 0..m_max as the Laguerre generator gave them before the
+    shared tables: its own recurrence, raising at the first non-finite
+    order."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r == 0.0:
+        yield from (1.0 if m == 0 else 0.0 for m in range(m_max + 1))
+        return
+    th2, ch2, aa = math.tanh(r) ** 2, math.cosh(r) ** 2, abs(alpha) ** 2
+    pref, x = math.exp(-aa * th2) / ch2, -aa / ch2
+    prev, cur = 0.0, 1.0
+    for m in range(m_max + 1):
+        if m > 0:
+            prev, cur = cur, ((2 * m - 1 - x) * cur - (m - 1) * prev) / m
+            if not math.isfinite(cur):
+                raise NumericalFailureError(f"laguerre({m}, {x}) left the double range")
+        yield pref * th2**m * cur
+
+
+def _p_m_family_reference(name, alpha, r, arg=None):
+    if name == "p_m":
+        *_, value = _p_m_reference(alpha, r, arg)
+        return value
+    if name == "p_m_cumulative":
+        total = 0.0
+        for value in _p_m_reference(alpha, r, arg):
+            total += value
+        return total
+    csum = 0.0
+    for m, value in enumerate(_p_m_reference(alpha, r, LAGUERRE_M_MAX)):
+        csum += value
+        if 1.0 - csum <= dc.DEFAULT_TAIL_TARGET:
+            return m + 1
+    raise TruncationError(
+        f"no idler truncation up to {LAGUERRE_M_MAX + 1} reaches tail 1e-09", 1.0 - csum
+    )
+
+
+def _bits_or_error(fn, *args):
+    try:
+        value = fn(*args)
+    except (NumericalFailureError, TruncationError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def test_p_m_family_equals_the_generator_reference_bitwise():
+    # p_m, p_m_cumulative and required_dim_b, called in shuffled order so
+    # that each finds x's Laguerre table empty, short or long: their bits,
+    # or their error text, among them "laguerre(501, -377.97...) left the
+    # double range" of `pacslab --scenario dc-pm --alpha 30`
+    specialfn._laguerre_table.cache_clear()
+    rng = random.Random(23)
+    points = [(0.8, 0.0), (0.7 + 0.4j, 1.3), (1.5, 2.0), (0.3, 0.05), (30.0, 1.0),
+              (30.0, 0.88), (10.0, 1.0), (0.8, 3.0), (-0.0, 0.4)]
+    points += [(cmath.rect(rng.uniform(0.0, 3.0), rng.uniform(-3.2, 3.2)), rng.uniform(0.0, 2.5))
+               for _ in range(40)]
+    calls = [
+        (name, alpha, r, arg)
+        for alpha, r in points
+        for name, arg in [("required_dim_b", None), ("p_m_cumulative", 60),
+                          ("p_m_cumulative", LAGUERRE_M_MAX), ("p_m", 0), ("p_m", 4),
+                          ("p_m", 333), ("p_m", LAGUERRE_M_MAX)]
+    ]
+    for _ in range(2):
+        rng.shuffle(calls)
+        for name, alpha, r, arg in calls:
+            args = (alpha, r) if arg is None else (alpha, r, arg)
+            got = _bits_or_error(getattr(dc, name), *args)
+            want = _bits_or_error(lambda *a: _p_m_family_reference(name, *a), alpha, r, arg)
+            assert got == want, (name, alpha, r, arg)
+    with pytest.raises(NumericalFailureError, match=r"^laguerre\(501, -377\.97\d+\) left"):
+        dc.auto_dims(30.0, 1.0)

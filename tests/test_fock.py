@@ -185,6 +185,41 @@ def test_ladder_band_is_read_only():
         fock.ladder(0)
 
 
+def test_complex_ladder_is_the_read_only_twin_of_ladder():
+    for dim in (6, 1, 70, 3, 71):
+        twin = fock.complex_ladder(dim)
+        assert twin.dtype == np.complex128
+        assert twin.tobytes() == fock.ladder(dim).astype(np.complex128).tobytes()
+        with pytest.raises(ValueError):
+            twin[:] = 2.0
+    with pytest.raises(ValueError):
+        fock.complex_ladder(0)
+
+
+def test_accumulate_of_real_factors_equals_the_step_by_step_products():
+    # jc_evolve_series runs its ladder chain as one np.multiply.accumulate:
+    # with factors whose imaginary part is zero, each accumulated row must
+    # equal the contiguous product of the row before and the factor, bit for
+    # bit, in either operand order and with the real band cast at each step
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 7, 31, 32, 33, 200):
+        start = rng.normal(size=dim) * 10.0 ** rng.uniform(-300, 300, dim)
+        start = start + 1j * rng.normal(size=dim) * 10.0 ** rng.uniform(-300, 300, dim)
+        edge = [complex(0.0, -0.0), complex(-0.0, 0.0), 5e-324j, -1e300][:dim]
+        start[: len(edge)] = edge
+        band = np.sqrt(np.arange(1.0, dim + 1.0))
+        factors = np.empty((40, dim), dtype=np.complex128)
+        factors[0] = start
+        factors[1:] = band
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            chain = np.multiply.accumulate(factors, axis=0)
+            left = right = cast = start
+            for row, factor in zip(chain[1:], factors[1:]):
+                left, right, cast = factor * left, right * factor, band * cast
+                for step in (left, right, cast):
+                    assert step.tobytes() == row.tobytes(), dim
+
+
 def test_vdot_rejects_mismatched_shapes():
     assert fock.vdot(np.array([1j, 2.0]), np.array([1j, 1.0])) == 3.0
     with pytest.raises(DimensionMismatchError):
@@ -649,6 +684,29 @@ def test_fidelity_of_two_mode_states():
     assert fock.fidelity(x, y) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(DimensionMismatchError):
         fock.fidelity(x, fock.TwoModeState(x.amp.T))
+
+
+def test_two_mode_norm_sq_rounds_alike_under_any_blas_thread_count():
+    # a grid past OpenBLAS's 10,000-entry threading cut: its norm is the
+    # correctly rounded sum of its row norms under one BLAS thread or two
+    rng = np.random.default_rng(11)
+    amp = rng.normal(size=(160, 90)) + 1j * rng.normal(size=(160, 90))
+    expected = math.fsum(np.vdot(row, row).real for row in amp)
+    code = (
+        "import numpy as np; from pacslab import fock; "
+        "rng = np.random.default_rng(11); "
+        "amp = rng.normal(size=(160, 90)) + 1j * rng.normal(size=(160, 90)); "
+        "print(fock.TwoModeState(amp).norm_sq().hex())"
+    )
+    src = str(Path(fock.__file__).resolve().parents[1])
+    found = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        found.add(out.stdout.strip())
+    assert found == {expected.hex()}
 
 
 def test_project_probabilities_complete_and_reembed():

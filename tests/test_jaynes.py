@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pacslab.jaynes import (
     CURVE_BLOCK,
     CurvePoint,
     JcParams,
+    JointAtomFieldState,
     jc_evolve_exact,
     jc_evolve_series,
     jc_overlap_curve,
@@ -293,3 +295,177 @@ def test_overlap_curve_builds_params_only_for_the_first_failing_beta_t(monkeypat
     with pytest.raises(ValueError, match="nonnegative"):
         jc_overlap_curve(0.8, [0.1, -1.0, 0.2, -2.0], [1])
     assert built == [(0.8, -1.0, 32)]
+
+
+def _series_reference(p, n_terms):
+    """jc_evolve_series as its step-by-step loop computed it before the
+    accumulate: one band shift per operator (the real band times the
+    amplitudes, as fock.create and fock.annihilate were), one weighted term
+    and one finiteness check per power, each term added to the running sums."""
+    dim = p.resolved_dim()
+    band = np.sqrt(np.arange(1.0, dim))
+
+    def create(amp):
+        out = np.zeros(dim, np.complex128)
+        out[1:] = band * amp[:-1]
+        return out
+
+    def annihilate(amp):
+        out = np.zeros(dim, np.complex128)
+        out[:-1] = band * amp[1:]
+        return out
+
+    w = fock.coherent_state(p.alpha, dim).amp
+    tau = -1j * p.beta_t
+    e_amp = np.zeros(dim, dtype=np.complex128)
+    g_amp = np.zeros(dim, dtype=np.complex128)
+    coef = 1.0 + 0.0j
+    for n in range(n_terms):
+        if n > 0:
+            w = annihilate(create(w))
+            coef *= tau * tau / ((2 * n - 1) * (2 * n))
+        e_term = coef * w
+        g_term = (coef * tau / (2 * n + 1)) * create(w)
+        if not (np.isfinite(e_term).all() and np.isfinite(g_term).all()):
+            raise NumericalFailureError(
+                f"series term {n} non-finite at beta_t={p.beta_t}, dim={dim}; "
+                "the partial sums are diverging"
+            )
+        e_amp += e_term
+        g_amp += g_term
+    return e_amp, g_amp
+
+
+def _series_outcome(fn, p, n_terms):
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference warns
+        try:
+            out = fn(p, n_terms)
+        except NumericalFailureError as exc:
+            return str(exc)
+    if isinstance(out, JointAtomFieldState):
+        out = out.field_e.amp, out.field_g.amp
+    return b"".join(a.tobytes() for a in out)
+
+
+def test_series_equals_the_step_by_step_loop_bitwise():
+    # real, negative and complex alpha, parts of either zero sign; 65 terms
+    # cross the CURVE_BLOCK edge; dims 1 and 2 (an alpha small enough for
+    # them) leave the chain empty or one entry wide, and at beta_t = 200 the
+    # large terms past the first block show any entry the band shifts leave
+    # 0; some beta_t diverge (the reference warns, the kernel must not), so
+    # the error texts are compared too
+    alphas = [0.8, -0.8, 0.6 - 0.9j, complex(0.0, -0.0), complex(-0.0, 0.7), complex(1.2, -0.0)]
+    cases = [
+        (alpha, bt, dim, n_terms)
+        for alpha in alphas
+        for bt in (0.0, 1e-3, 0.5, 2.0, 5.0)
+        for dim in (None,)
+        for n_terms in (1, 2, 40, CURVE_BLOCK + 1)
+    ]
+    cases += [
+        (1e-9, bt, dim, n)
+        for bt in (1.5, 200.0)
+        for dim in (1, 2, 3)
+        for n in (1, 2, CURVE_BLOCK + 1)
+    ]
+    cases += [(0.8, bt, None, 40) for bt in (1e20, 1e30, 1e100, math.inf)]
+    # finite over three blocks; then diverging at terms 84 and 134
+    cases += [(3.0 + 1.0j, 0.7, None, 2 * CURVE_BLOCK + 3), (0.8, 120.0, None, 200)]
+    cases += [(0.8, 1000.0, None, 200), (0.8, 300.0, None, 200)]
+    for alpha, bt, dim, n_terms in cases:
+        p = JcParams(alpha, bt, dim)
+        got = _series_outcome(jc_evolve_series, p, n_terms)
+        assert got == _series_outcome(_series_reference, p, n_terms), (alpha, bt, dim, n_terms)
+
+
+@pytest.mark.parametrize("beta_t, term", [(1e20, 8), (1e100, 2), (1e30, 5)])
+def test_series_divergence_raises_its_error_without_a_warning(beta_t, term):
+    # numpy's overflow and invalid-value warnings used to come before the
+    # error; warnings are errors here, so any leak fails the match
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError) as exc:
+            jc_evolve_series(JcParams(0.8, beta_t), 40)
+    assert str(exc.value) == (
+        f"series term {term} non-finite at beta_t={beta_t}, dim=32; "
+        "the partial sums are diverging"
+    )
+
+
+def _mpacs_reference(p, n_max):
+    """mpacs_expansion as it computed before its kets became one chain:
+    every weight from the Stirling numbers, m! and alpha^{m-1} afresh, and
+    every ket from pacs_state, with its checks."""
+    from pacslab.specialfn import stirling2
+
+    def weight(n, m, alpha, bracket):
+        s_nm = stirling2(n, m) if m <= n else 0
+        s_nm1 = stirling2(n, m - 1) if m - 1 <= n else 0
+        if bracket == "with_factorial":
+            inner = m * s_nm + s_nm1 * math.factorial(m) * alpha
+        else:
+            inner = m * s_nm + s_nm1
+        return alpha ** (m - 1) * inner
+
+    m_max = n_max + 1
+    dim = p.dim if p.dim is not None else fock.default_dim(p.alpha) + m_max
+    norms = [None] + [
+        math.sqrt(pacs.pacs_norm_sq(PacsSpec(p.alpha, m))) for m in range(1, m_max + 1)
+    ]
+    bracket_weights = {
+        bracket: [
+            [None] + [weight(n, m, p.alpha, bracket) for m in range(1, m_max + 1)]
+            for n in range(n_max + 1)
+        ]
+        for bracket in ("with_factorial", "plain")
+    }
+    table = np.zeros((n_max + 1, m_max + 1), dtype=np.complex128)
+    for n, row in enumerate(bracket_weights["with_factorial"]):
+        for m in range(1, m_max + 1):
+            table[n, m] = row[m] * norms[m]
+    oracle, _ = fock.normalize(jc_evolve_exact(JcParams(p.alpha, p.beta_t, dim)).field_g.amp)
+    tau = -1j * p.beta_t
+    prefs = np.zeros(n_max + 1, dtype=np.complex128)
+    prefs[0] = tau
+    for n in range(1, n_max + 1):
+        prefs[n] = prefs[n - 1] * tau * tau / ((2 * n) * (2 * n + 1))
+    kets = [None] + [pacs_state(PacsSpec(p.alpha, m), dim).amp for m in range(1, m_max + 1)]
+    fidelities = {}
+    for bracket, wts in bracket_weights.items():
+        weights = [None] + [
+            norms[m] * sum(prefs[n] * wts[n][m] for n in range(n_max + 1))
+            for m in range(1, m_max + 1)
+        ]
+        for basis in ("raw", "normalized"):
+            rec = np.zeros(dim, dtype=np.complex128)
+            for m in range(1, m_max + 1):
+                ket = kets[m] if basis == "raw" else kets[m] / norms[m]
+                rec += weights[m] * ket
+            vec = fock.FockVector(rec)
+            fid = abs(fock.inner_product(oracle, vec)) ** 2 / vec.norm_sq()
+            fidelities[f"{bracket}+{basis}"] = fid
+    return table, fidelities, oracle
+
+
+def test_mpacs_expansion_equals_the_reference_bitwise():
+    # the table, the four fidelities in their order and the oracle, byte for
+    # byte; then the errors: dims too small for the tail of some order or
+    # for the headroom of all, and n_max beyond the Stirling table
+    for alpha in (0.8, -0.8, 0.6 - 0.9j, complex(-0.0, 0.5), 1.4):
+        for beta_t in (1e-3, 0.5, 1.0):
+            for n_max in (0, 6, 20):
+                p = JcParams(alpha, beta_t)
+                exp = mpacs_expansion(p, n_max)
+                table, fids, oracle = _mpacs_reference(p, n_max)
+                assert exp.table.tobytes() == table.tobytes(), (alpha, beta_t, n_max)
+                assert list(exp.fidelities.items()) == list(fids.items())
+                assert exp.best_convention == max(fids, key=fids.get)
+                assert exp.best_fidelity == fids[exp.best_convention]
+                assert exp.oracle.amp.tobytes() == oracle.amp.tobytes()
+    for p, n_max in ((JcParams(0.8, 0.5, 12), 20), (JcParams(1.4, 0.5, 30), 20),
+                     (JcParams(0.8, 0.5), 65), (JcParams(0.8, 0.5, 3), 6)):
+        with pytest.raises(Exception) as got:
+            mpacs_expansion(p, n_max)
+        with pytest.raises(Exception) as want:
+            _mpacs_reference(p, n_max)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

@@ -321,3 +321,30 @@ def test_poisson_tail_edges():
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="dim must be >= 1"):
         fock.coherent_state(0.8, 0)
+
+
+def test_laguerre_scans_share_one_table_per_argument():
+    # a scan that stops early leaves the orders it computed in x's table;
+    # laguerre reads them and grows the table only past them, to the next
+    # multiple of LAGUERRE_CHUNK; a later scan continues it; every value is
+    # the recurrence's, and a table ends at its first non-finite order
+    specialfn._laguerre_table.cache_clear()
+    x = -0.37
+    ref, _ = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
+    scan = specialfn.laguerre_values(specialfn.LAGUERRE_M_MAX, x)
+    assert [next(scan) for _ in range(40)] == ref[:40]
+    scan.close()
+    assert specialfn._laguerre_table(x) == ref[:40]
+    assert specialfn.laguerre(39, x) == ref[39]
+    assert len(specialfn._laguerre_table(x)) == 40
+    assert specialfn.laguerre(45, x) == ref[45]
+    assert specialfn._laguerre_table(x) == ref[: 3 * specialfn.LAGUERRE_CHUNK + 1]
+    assert list(specialfn.laguerre_values(100, x)) == ref[:101]
+    assert specialfn._laguerre_table(x) == ref[:101]
+    for x in (-1e6, math.nan):
+        ref, bad = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
+        for _ in range(2):
+            with pytest.raises(NumericalFailureError, match=rf"^laguerre\({bad}, {x}\) left"):
+                list(specialfn.laguerre_values(specialfn.LAGUERRE_M_MAX, x))
+        table = specialfn._laguerre_table(x)
+        assert table[:bad] == ref and len(table) == bad + 1 and not math.isfinite(table[-1])
