@@ -64,13 +64,16 @@ def overlap_rows(alpha: complex, rs, dim=None) -> list:
 
 
 def _pair_dims(alpha: complex, rs, ms, dim_a, dim_b) -> list:
-    """(r, dim_a, dim_b) per r, automatic unless forced; raises
-    TruncationError before any evolution when an m order does not fit."""
+    """(r, dim_a, dim_b) per r, automatic unless forced (auto_dims runs only
+    for a missing dim, so two forced dims pass its Laguerre order cap);
+    raises TruncationError before any evolution when an m order does not fit."""
     out = []
     for r in rs:
         r = float(r)
-        auto_a, auto_b = dc.auto_dims(alpha, r)
-        da, db = dim_a or auto_a, dim_b or auto_b
+        da, db = dim_a, dim_b
+        if da is None or db is None:
+            auto_a, auto_b = dc.auto_dims(alpha, r)
+            da, db = da or auto_a, db or auto_b
         if ms and max(ms) >= db:
             raise TruncationError(f"dim_b={db} leaves no room for m={max(ms)}", 1.0)
         out.append((r, da, db))

@@ -7,11 +7,11 @@ the double range and truncations too large to allocate), 4 unwritable
 output.
 """
 
-import argparse
 import cmath
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +29,10 @@ _DEFAULTS = {
 }
 SCENARIOS = tuple(_DEFAULTS)
 FORMATS = ("csv", "json")
+# every option in usage order; the flag --dim-a is the config file key dim_a
+OPTIONS = tuple(
+    "scenario alpha r beta_t beta time m_list dim_a dim_b tol config out format".split()
+)
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_complex(text: str):
-    t = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(t)
+        return complex(text.strip().replace(" ", "").replace("i", "j"))
     except ValueError:
         return None
 
@@ -79,11 +82,9 @@ def _parse_grid(text: str):
             v = float(parts[0])
             return (v, v, 1)
         if len(parts) == 3:
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-            return (start, stop, count)
+            return (float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError:
-        return None
+        pass
     return None
 
 
@@ -110,9 +111,7 @@ def _read_config_file(path: str, keys, errors: list) -> dict:
         if "=" not in line:
             errors.append(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
         if key not in keys:
             errors.append(f"{path}:{lineno}: unknown key {key!r}")
             continue
@@ -120,46 +119,43 @@ def _read_config_file(path: str, keys, errors: list) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="pacslab",
-        description="Photon-added coherent state laboratory: scenario runner",
-    )
-    ap.add_argument("--scenario", choices=SCENARIOS)
-    ap.add_argument("--alpha", help="complex literal, e.g. 0.8+0.0i")
-    ap.add_argument("--r", help="squeeze grid start:stop:count or value")
-    ap.add_argument("--beta-t", help="dimensionless interaction grid (jc-curve)")
-    ap.add_argument("--beta", help="coupling in rad/s (with --time)")
-    ap.add_argument("--time", help="time grid in seconds (with --beta)")
-    ap.add_argument("--m-list", help="comma-separated orders")
-    ap.add_argument("--dim-a")
-    ap.add_argument("--dim-b")
-    ap.add_argument("--tol")
-    ap.add_argument("--config", help="flat key = value file")
-    ap.add_argument("--out", help="output path (default: stdout)")
-    ap.add_argument("--format", choices=FORMATS)
-    return ap
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def parse_config(argv) -> RunConfig:
-    """Resolve flags and optional config file; flags win on conflict.
+def _read_flags(argv, errors: list) -> dict | None:
+    """{key: value} of the ``--name value`` and ``--name=value`` flags, a
+    repeated flag's last value winning; None when -h or --help asks for the
+    usage.  A value is verbatim, even one that starts with '-'.  Unknown
+    flags, stray arguments and flags without a value join ``errors``."""
+    keys = {_flag(key): key for key in OPTIONS}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        name, eq, value = token.partition("=")
+        if name not in keys:
+            errors.append(f"unknown argument {token!r}")
+        elif eq or (value := next(tokens, None)) is not None:
+            values[keys[name]] = value
+        else:
+            errors.append(f"{name} needs a value")
+    return values
 
-    The file's values become parser defaults, so every option is read the
-    same way from either source.  Every invalid entry is collected and
-    reported together.
-    """
-    ap = _build_parser()
-    try:
-        ns = ap.parse_args(argv)
-    except SystemExit:
-        raise ConfigError("invalid command line (see --help)")
+
+def parse_config(argv) -> RunConfig | None:
+    """Resolve flags and optional config file; flags win on conflict.  Both
+    fill one table of raw values, each read the same way from either; every
+    invalid entry is reported together.  None when -h or --help is given."""
     errors: list = []
-    if ns.config:
-        # argparse checks choices on flags only, so the checks below still
-        # see every file value
-        keys = set(vars(ns)) - {"config"}
-        ap.set_defaults(**_read_config_file(ns.config, keys, errors))
-        ns = ap.parse_args(argv)
+    flags = _read_flags(argv, errors)
+    if flags is None:
+        return None
+    values = dict.fromkeys(OPTIONS)
+    if flags.get("config"):
+        values |= _read_config_file(flags["config"], set(OPTIONS) - {"config"}, errors)
+    ns = SimpleNamespace(**(values | flags))
 
     scenario = ns.scenario or "verify"
     if scenario not in SCENARIOS:
@@ -167,9 +163,9 @@ def parse_config(argv) -> RunConfig:
         scenario = "verify"
     grid, m_list, reads = _DEFAULTS[scenario]
     allowed = {"scenario", "config", "out", "format", *reads.split()}
-    for key, raw in vars(ns).items():
-        if raw is not None and key not in allowed:
-            errors.append(f"--{key.replace('_', '-')} does not apply to {scenario}")
+    for key in OPTIONS:
+        if getattr(ns, key) is not None and key not in allowed:
+            errors.append(f"{_flag(key)} does not apply to {scenario}")
             setattr(ns, key, None)
 
     alpha = 0.8 + 0.0j
@@ -419,6 +415,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"pacslab: {exc}", file=sys.stderr)
         return 2
+    if cfg is None:
+        print("usage: pacslab [-h]", *(f"[{_flag(key)} VALUE]" for key in OPTIONS))
+        return 0
     try:
         return run(cfg)
     except PacslabError as exc:

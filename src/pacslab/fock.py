@@ -145,13 +145,6 @@ def create(amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def annihilate(amp: np.ndarray) -> np.ndarray:
-    """a as a band shift: (a amp)[n] = sqrt(n+1) amp[n+1]."""
-    out = np.zeros(len(amp), np.complex128)
-    out[:-1] = complex_ladder(len(amp)) * amp[1:]
-    return out
-
-
 def vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum conj(a) b over the last axis, broadcast over the leading axes: every
     norm, overlap and moment, one row or a stack of rows at a time.
@@ -218,7 +211,7 @@ COHERENT_STATES = 8
 
 
 @lru_cache(maxsize=COHERENT_STATES, typed=True)
-def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple | None) -> np.ndarray:
+def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple) -> np.ndarray:
     """The read-only amplitudes of coherent_state.  ``signs``, the signs of
     alpha's parts, only keys the cache: 0.0 and -0.0 are equal keys whose
     amplitudes differ in the sign of their zeros."""
@@ -244,7 +237,7 @@ def coherent_state(
 
     The amplitudes come from one recurrence per (alpha, dim), kept in a
     bounded cache (COHERENT_STATES entries) and shared, read-only, by every
-    state built on them; an alpha that cannot be hashed is built afresh.
+    state built on them; an alpha that cannot be hashed raises TypeError.
     """
     vacuum_amp = math.exp(-abs(alpha) ** 2 / 2.0)
     if vacuum_amp < sys.float_info.min:
@@ -254,11 +247,8 @@ def coherent_state(
         )
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    try:
-        signs = (math.copysign(1.0, alpha.real), math.copysign(1.0, alpha.imag))
-        amp = _coherent_amplitudes(alpha, dim, signs)
-    except TypeError:  # alpha cannot be hashed
-        amp = _coherent_amplitudes.__wrapped__(alpha, dim, None)
+    signs = (math.copysign(1.0, alpha.real), math.copysign(1.0, alpha.imag))
+    amp = _coherent_amplitudes(alpha, dim, signs)
     if tail_tol < 1.0:
         tail = coherent_tail_mass(amp, alpha, dim)
         if tail > tail_tol:

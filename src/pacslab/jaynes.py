@@ -122,7 +122,7 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     On the Fock index k, a+ then a multiply amplitude k by sqrt(k+1) twice,
     so the chain |alpha>, a+|alpha>, a a+|alpha>, ... is one
     np.multiply.accumulate over the real ladder factors (fock.complex_ladder
-    gives it the bits of the band shifts fock.create and fock.annihilate);
+    gives it the bits of the band shifts a+ and a, as in fock.create);
     a (a a+)^n row ends in 0 and an a+ (a a+)^n row starts with 0, as the
     band shifts leave them.  Each branch's terms are weighted by one
     broadcast product and summed in row order by one np.add.reduce from a
@@ -200,8 +200,11 @@ def mpacs_expansion(p: JcParams, n_max: int) -> MpacsExpansion:
     reading ("raw" = unnormalized, "normalized").  The convention with the
     highest fidelity against the conditional state of the exact evolution is
     recorded; the n = 0 row uses the table convention S(0, 0) = 1 so the
-    leading single-addition term is present.
+    leading single-addition term is present.  A negative n_max raises
+    ValueError before any work.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     m_max = n_max + 1
     # the highest-order basis state needs m_max levels of headroom
     dim = p.dim if p.dim is not None else default_dim(p.alpha) + m_max

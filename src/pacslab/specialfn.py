@@ -83,16 +83,13 @@ def laguerre_values(m_max: int, x: float):
     the recurrence on from there.  When the scan stops, however early, what
     it computed, a non-finite value included, is appended to the table,
     unless another scan has grown it meanwhile.  An x that cannot be hashed
-    gets a table of its own.
+    raises TypeError.
     """
     if m_max < 0:
         raise ValueError("order m must be nonnegative")
     if m_max > LAGUERRE_M_MAX:
         raise ValueError(f"order m must not exceed {LAGUERRE_M_MAX}")
-    try:
-        table = _laguerre_table(x)
-    except TypeError:
-        table = [1.0]
+    table = _laguerre_table(x)
     start = len(table)
     end = start if math.isfinite(table[start - 1]) else start - 1
     yield from table[: min(end, m_max + 1)]
@@ -132,14 +129,10 @@ def laguerre(m: int, x: float) -> float:
         raise ValueError("order m must be nonnegative")
     if m > LAGUERRE_M_MAX:
         raise ValueError(f"order m must not exceed {LAGUERRE_M_MAX}")
-    try:
-        table = _laguerre_table(x)
-    except TypeError:  # an x that cannot be hashed: a scan of its own
-        top = m
-    else:
-        if m < len(table) and math.isfinite(table[m]):
-            return table[m]
-        top = min((m // LAGUERRE_CHUNK + 1) * LAGUERRE_CHUNK, LAGUERRE_M_MAX)
+    table = _laguerre_table(x)
+    if m < len(table) and math.isfinite(table[m]):
+        return table[m]
+    top = min((m // LAGUERRE_CHUNK + 1) * LAGUERRE_CHUNK, LAGUERRE_M_MAX)
     found = None
     try:
         for k, value in enumerate(laguerre_values(top, x)):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pacslab import checks, jaynes, pacs
+from pacslab import checks, downconversion, jaynes, pacs
 
 NAN = float("nan")
 
@@ -12,6 +12,15 @@ def test_worst_of_keeps_nan():
     assert checks.worst_of([-1.0, 2.5e-16]) == 2.5e-16
     for values in ([NAN], [NAN, 1.0], [1.0, NAN, 3.0]):
         assert math.isnan(checks.worst_of(values))
+
+
+def test_pair_dims_size_only_a_missing_truncation(monkeypatch):
+    auto_a, auto_b = downconversion.auto_dims(0.8, 1.0)
+    assert checks._pair_dims(0.8, [1.0], (0, 1), 80, None) == [(1.0, 80, auto_b)]
+    assert checks._pair_dims(0.8, [1.0], (0, 1), None, 60) == [(1.0, auto_a, 60)]
+    # two forced dims never ask auto_dims, so r = 2.4 passes its Laguerre cap
+    monkeypatch.setattr("pacslab.downconversion.auto_dims", None)
+    assert checks._pair_dims(0.8, [2.4], (0, 1, 2), 800, 700) == [(2.4, 800, 700)]
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,76 @@ def test_scenario_grid_flag_mismatch():
         cli.parse_config(["--scenario", "dc-pm", "--beta-t", "0:1:5"])
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_prints_usage_and_runs_nothing(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    # help wins over an unknown flag, and no scenario runs
+    assert cli.main(["--scenario", "dc-pm", "--bogus", flag, "--out", str(out)]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.startswith("usage: pacslab [-h] [--scenario VALUE]")
+    assert all(f"[--{key.replace('_', '-')} VALUE]" in stdout for key in cli.OPTIONS)
+    assert stderr == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, alpha",
+    [
+        (["--alpha", "-0.8+0.2i"], -0.8 + 0.2j),
+        (["--alpha", "-1j"], -1j),
+        (["--alpha=-0.8+0.2i"], -0.8 + 0.2j),
+    ],
+)
+def test_alpha_with_a_leading_minus_parses(args, alpha):
+    assert cli.parse_config(["--scenario", "dc-pm", *args]).alpha == alpha
+
+
+def test_negative_grid_value_is_read_and_rejected():
+    with pytest.raises(ConfigError, match="grid must satisfy stop >= start >= 0, got -1.0:-1.0"):
+        cli.parse_config(["--scenario", "dc-pm", "--r", "-1"])
+
+
+def test_unknown_stray_and_valueless_tokens_named_together(tmp_path, capsys):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("bogus = 1\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    # an abbreviated flag, a file key spelt as a flag, a positional argument
+    # and a flag without a value, next to a file error and a bad value
+    args = ["--scen=dc-pm", "--dim_a", "jc-curve", "--config", str(conf), "--out", str(out),
+            "--tol", "2", "--alpha"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "pacslab: invalid configuration:",
+        "  unknown argument '--scen=dc-pm'",
+        "  unknown argument '--dim_a'",
+        "  unknown argument 'jc-curve'",
+        "  --alpha needs a value",
+        f"  {conf}:1: unknown key 'bogus'",
+        "  malformed tol '2' (real in (0, 1) required)",
+    ]
+    assert not out.exists()
+
+
+def test_repeated_flag_keeps_its_last_value():
+    cfg = cli.parse_config(
+        ["--scenario", "dc-pm", "--r", "0.5", "--alpha", "1", "--r=0.7", "--alpha", "-2"]
+    )
+    assert (cfg.grid, cfg.alpha) == ((0.7, 0.7, 1), -2 + 0j)
+
+
+def test_forced_truncations_pass_the_laguerre_order_cap(tmp_path, capsys):
+    # auto_dims caps the idler truncation at 513 orders, which r = 2.4 needs
+    # more than; two forced dims never ask it
+    for scenario in ("dc-ideal-check", "dc-pm"):
+        out = tmp_path / f"{scenario}.csv"
+        args = ["--scenario", scenario, "--r", "2.4", "--dim-a", "800", "--dim-b", "700",
+                "--m-list", "0,1,2", "--out", str(out)]
+        assert cli.main(args) == 0, scenario
+        capsys.readouterr()
+        text = out.read_text(encoding="utf-8")
+        assert len(text.splitlines()) == 4 and _records_physical(text, "csv"), scenario
+
+
 def test_beta_time_pair_builds_dimensionless_grid():
     cfg = cli.parse_config(
         ["--scenario", "jc-curve", "--beta", "6283185.3", "--time", "0:3e-05:31"]
@@ -472,14 +542,15 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_csv_runs_load_no_hashlib_or_json(tmp_path):
-    # only the JSON records use them; hashlib loads OpenSSL's libcrypto
+    # only the JSON records use them; hashlib loads OpenSSL's libcrypto, and
+    # the flags are read without argparse
     code = (
         "import sys, pacslab.cli as cli\n"
         "codes = []\n"
         f"for scenario in {cli.SCENARIOS!r}:\n"
         "    out = f'{sys.argv[1]}/{scenario}.csv'\n"
         "    codes.append(cli.main(['--scenario', scenario, '--format', 'csv', '--out', out]))\n"
-        "print(codes, sorted({'hashlib', '_hashlib', 'json'} & set(sys.modules)))"
+        "print(codes, sorted({'argparse', 'hashlib', '_hashlib', 'json'} & set(sys.modules)))"
     )
     # the summaries come first; verify exits 3 on its red-by-design check
     assert _fresh_python(code, str(tmp_path))[-1] == "[0, 0, 0, 0, 3] []"
@@ -569,6 +640,9 @@ def _records_physical(text: str, fmt: str) -> bool:
 @example(["--scenario", "dc-ideal-check", "--format", "json", "--alpha", "1e154", "--r", "0"], None)
 # a subnormal branch probability once scored as fidelity 1.00025679996
 @example(["--scenario", "dc-ideal-check", "--format", "csv", "--r", "1e-80", "--m-list", "2"], None)
+# complex seeds with a negative real part: values that start with '-'
+@example(["--scenario", "dc-pm", "--format", "csv", "--alpha", "-0.8+0.2i"], None)
+@example(["--scenario", "jc-curve", "--format", "json", "--alpha", "-1.5-0.5i"], None)
 def test_cli_total(args, config):
     fmt = args[args.index("--format") + 1]
     with tempfile.TemporaryDirectory() as td:

@@ -300,7 +300,7 @@ def test_overlap_curve_builds_params_only_for_the_first_failing_beta_t(monkeypat
 def _series_reference(p, n_terms):
     """jc_evolve_series as its step-by-step loop computed it before the
     accumulate: one band shift per operator (the real band times the
-    amplitudes, as fock.create and fock.annihilate were), one weighted term
+    amplitudes, as the library's band shifts then were), one weighted term
     and one finiteness check per power, each term added to the running sums."""
     dim = p.resolved_dim()
     band = np.sqrt(np.arange(1.0, dim))
@@ -445,6 +445,15 @@ def _mpacs_reference(p, n_max):
             fid = abs(fock.inner_product(oracle, vec)) ** 2 / vec.norm_sq()
             fidelities[f"{bracket}+{basis}"] = fid
     return table, fidelities, oracle
+
+
+def test_mpacs_expansion_rejects_a_negative_n_max(monkeypatch):
+    # -1 once ended in numpy's IndexError and -2 in its "negative dimensions"
+    # ValueError; both are now named before the oracle evolution runs
+    monkeypatch.setattr("pacslab.jaynes.jc_evolve_exact", None)
+    for n_max in (-1, -2):
+        with pytest.raises(ValueError, match=rf"^n_max must be nonnegative, got {n_max}$"):
+            mpacs_expansion(JcParams(0.8, 0.5), n_max)
 
 
 def test_mpacs_expansion_equals_the_reference_bitwise():
