@@ -64,18 +64,18 @@ def overlap_rows(alpha: complex, rs, dim=None) -> list:
 
 
 def _pair_dims(alpha: complex, rs, ms, dim_a, dim_b) -> list:
-    """(r, dim_a, dim_b) per r, automatic unless forced (auto_dims runs only
-    for a missing dim, so two forced dims pass its Laguerre order cap);
-    raises TruncationError before any evolution when an m order does not fit."""
+    """(r, dim_a, dim_b) per r, automatic unless forced.  auto_dims runs only
+    for a missing dim_b, so a forced one passes its Laguerre order cap; a
+    missing dim_a is sized from the dim_b in use.  Raises TruncationError
+    before any evolution, and before any sizing for a forced dim_b, when an
+    m order does not fit."""
     out = []
     for r in rs:
         r = float(r)
-        da, db = dim_a, dim_b
-        if da is None or db is None:
-            auto_a, auto_b = dc.auto_dims(alpha, r)
-            da, db = da or auto_a, db or auto_b
+        db = dc.auto_dims(alpha, r)[1] if dim_b is None else dim_b
         if ms and max(ms) >= db:
             raise TruncationError(f"dim_b={db} leaves no room for m={max(ms)}", 1.0)
+        da = dc.required_dim_a(alpha, r, db) if dim_a is None else dim_a
         out.append((r, da, db))
     return out
 

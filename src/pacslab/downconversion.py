@@ -310,12 +310,17 @@ def required_dim_b(alpha: complex, r: float) -> int:
     )
 
 
+def required_dim_a(alpha: complex, r: float, dim_b: int) -> int:
+    """Signal truncation for the idler truncation dim_b: the dim_b - 1
+    columns the pair creation reaches, plus headroom for |alpha / cosh r>."""
+    aa = abs(alpha) / math.cosh(r)
+    return dim_b + int(math.ceil(aa * aa + 8.0 * aa + 16.0)) + 4
+
+
 def auto_dims(alpha: complex, r: float) -> tuple[int, int]:
     """Truncations meeting DEFAULT_TAIL_TARGET for the given seed and squeeze."""
     dim_b = max(DEFAULT_DIM_B, required_dim_b(alpha, r))
-    aa = abs(alpha) / math.cosh(r)
-    dim_a = dim_b + int(math.ceil(aa * aa + 8.0 * aa + 16.0)) + 4
-    return dim_a, dim_b
+    return required_dim_a(alpha, r, dim_b), dim_b
 
 
 def spacs_overlap_closed(alpha: complex, r: float) -> float:

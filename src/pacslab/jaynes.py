@@ -32,8 +32,8 @@ from .specialfn import stirling2
 BASIS_VARIANTS = ("raw", "normalized")
 # above this the doubles around a Rabi phase are 1 rad apart: cos/sin keep no digit
 RABI_PHASE_MAX = 2.0**52
-# beta_t rows of jc_overlap_curve, and terms of jc_evolve_series, evaluated
-# together: memory O(CURVE_BLOCK * dim)
+# beta_t rows of jc_overlap_curve evaluated together: memory
+# O(CURVE_BLOCK * dim) at any grid length
 CURVE_BLOCK = 64
 
 
@@ -124,11 +124,11 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     np.multiply.accumulate over the real ladder factors (fock.complex_ladder
     gives it the bits of the band shifts a+ and a, as in fock.create);
     a (a a+)^n row ends in 0 and an a+ (a a+)^n row starts with 0, as the
-    band shifts leave them.  Each branch's terms are weighted by one
-    broadcast product and summed in row order by one np.add.reduce from a
-    zero row, CURVE_BLOCK terms at a time, so memory stays
-    O(CURVE_BLOCK * dim).  NumericalFailureError names the first term that
-    is not finite.
+    band shifts leave them.  All 2 n_terms chain rows come from one
+    accumulate, so memory is O(n_terms * dim).  Each branch's terms are
+    weighted by one broadcast product and summed in row order by one
+    np.add.reduce from a zero row.  NumericalFailureError names the first
+    term that is not finite.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -136,42 +136,35 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     w = coherent_state(p.alpha, dim).amp
     tau = -1j * p.beta_t
     coef = 1.0 + 0.0j
-    rows = 2 * min(n_terms, CURVE_BLOCK)
+    coefs, g_coefs = [], []
+    for n in range(n_terms):
+        if n > 0:
+            coef *= tau * tau / ((2 * n - 1) * (2 * n))
+        coefs.append(coef)
+        g_coefs.append(coef * tau / (2 * n + 1))
     # chain row j sits in columns 1..dim-1 between two zero columns: row 2n
     # is (a a+)^n |alpha> read from column 1, row 2n+1 its a+ read from 0
-    chain = np.zeros((rows, dim + 1), dtype=np.complex128)
-    factors = np.empty((rows, dim - 1), dtype=np.complex128)
+    chain = np.zeros((2 * n_terms, dim + 1), dtype=np.complex128)
+    factors = np.empty((2 * n_terms, dim - 1), dtype=np.complex128)
     factors[1:] = complex_ladder(dim)
     factors[0] = w[:-1]
     chain[0, dim] = w[-1]
-    # each sum row, then the weighted terms of one block
-    e_terms = np.zeros((rows // 2 + 1, dim), dtype=np.complex128)
-    g_terms = np.zeros((rows // 2 + 1, dim), dtype=np.complex128)
+    # each branch: a zero row, then its weighted terms
+    e_terms = np.zeros((n_terms + 1, dim), dtype=np.complex128)
+    g_terms = np.zeros((n_terms + 1, dim), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-        for n0 in range(0, n_terms, CURVE_BLOCK):
-            k = min(CURVE_BLOCK, n_terms - n0)
-            coefs, g_coefs = [], []
-            for n in range(n0, n0 + k):
-                if n > 0:
-                    coef *= tau * tau / ((2 * n - 1) * (2 * n))
-                coefs.append(coef)
-                g_coefs.append(coef * tau / (2 * n + 1))
-            if n0 > 0:
-                np.multiply(chain[rows - 1, 1:dim], factors[1], out=factors[0])
-                chain[0, dim] = 0.0
-            np.multiply.accumulate(factors[: 2 * k], axis=0, out=chain[: 2 * k, 1:dim])
-            e_rows, g_rows = e_terms[1 : k + 1], g_terms[1 : k + 1]
-            np.multiply(np.array(coefs)[:, None], chain[0 : 2 * k : 2, 1:], out=e_rows)
-            np.multiply(np.array(g_coefs)[:, None], chain[1 : 2 * k : 2, :dim], out=g_rows)
-            finite = np.isfinite(e_rows).all(axis=1) & np.isfinite(g_rows).all(axis=1)
-            if not finite.all():
-                raise NumericalFailureError(
-                    f"series term {n0 + int(np.argmin(finite))} non-finite at "
-                    f"beta_t={p.beta_t}, dim={dim}; the partial sums are diverging"
-                )
-            for terms in (e_terms, g_terms):
-                terms[0] = np.add.reduce(terms[: k + 1], axis=0)
-    return JointAtomFieldState(FockVector(e_terms[0].copy()), FockVector(g_terms[0].copy()))
+        np.multiply.accumulate(factors, axis=0, out=chain[:, 1:dim])
+        np.multiply(np.array(coefs)[:, None], chain[0::2, 1:], out=e_terms[1:])
+        np.multiply(np.array(g_coefs)[:, None], chain[1::2, :dim], out=g_terms[1:])
+    finite = np.isfinite(e_terms[1:]).all(axis=1) & np.isfinite(g_terms[1:]).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(
+            f"series term {int(np.argmin(finite))} non-finite at "
+            f"beta_t={p.beta_t}, dim={dim}; the partial sums are diverging"
+        )
+    return JointAtomFieldState(
+        FockVector(np.add.reduce(e_terms, axis=0)), FockVector(np.add.reduce(g_terms, axis=0))
+    )
 
 
 @dataclass(eq=False)

@@ -50,9 +50,6 @@ def stirling2(n: int, k: int) -> int:
 # tables of L_0(x).. kept, one per argument x; a table of 513 orders takes
 # about 16 kB
 LAGUERRE_TABLES = 16
-# laguerre grows a table that is too short to the next multiple of this
-# order above m, so an ascending loop over m runs few scans
-LAGUERRE_CHUNK = 16
 # a table only grows, and one scan at a time appends to it
 _LAGUERRE_GROWTH = threading.Lock()
 
@@ -119,9 +116,9 @@ def laguerre(m: int, x: float) -> float:
     ``laguerre_values(m, x)``.
 
     Read from x's table; one that is too short is first grown by a scan to
-    the next multiple of LAGUERRE_CHUNK above m (at most LAGUERRE_M_MAX),
-    so an ascending loop over m costs one recurrence rather than one per
-    order.  NumericalFailureError names the first order that left the
+    order max(m, twice its length), at most LAGUERRE_M_MAX, so an
+    ascending loop over m = 0..LAGUERRE_M_MAX runs 9 scans rather than one
+    per order.  NumericalFailureError names the first order that left the
     double range when it is <= m.
     """
     m = operator.index(m)
@@ -132,7 +129,7 @@ def laguerre(m: int, x: float) -> float:
     table = _laguerre_table(x)
     if m < len(table) and math.isfinite(table[m]):
         return table[m]
-    top = min((m // LAGUERRE_CHUNK + 1) * LAGUERRE_CHUNK, LAGUERRE_M_MAX)
+    top = min(max(m, 2 * len(table)), LAGUERRE_M_MAX)
     found = None
     try:
         for k, value in enumerate(laguerre_values(top, x)):

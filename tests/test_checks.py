@@ -15,9 +15,10 @@ def test_worst_of_keeps_nan():
 
 
 def test_pair_dims_size_only_a_missing_truncation(monkeypatch):
-    auto_a, auto_b = downconversion.auto_dims(0.8, 1.0)
+    _, auto_b = downconversion.auto_dims(0.8, 1.0)
     assert checks._pair_dims(0.8, [1.0], (0, 1), 80, None) == [(1.0, 80, auto_b)]
-    assert checks._pair_dims(0.8, [1.0], (0, 1), None, 60) == [(1.0, auto_a, 60)]
+    # a missing dim_a is sized from the forced dim_b, not from auto_dims' own
+    assert checks._pair_dims(0.8, [1.0], (0, 1), None, 60) == [(1.0, 85, 60)]
     # two forced dims never ask auto_dims, so r = 2.4 passes its Laguerre cap
     monkeypatch.setattr("pacslab.downconversion.auto_dims", None)
     assert checks._pair_dims(0.8, [2.4], (0, 1, 2), 800, 700) == [(2.4, 800, 700)]

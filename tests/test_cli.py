@@ -164,6 +164,30 @@ def test_forced_truncations_pass_the_laguerre_order_cap(tmp_path, capsys):
         assert len(text.splitlines()) == 4 and _records_physical(text, "csv"), scenario
 
 
+def test_a_forced_dim_b_sizes_dim_a(tmp_path, capsys):
+    # a missing dim_a is sized from the forced dim_b: the records equal those
+    # of both dims forced; auto_dims' own dim_a (72 at r = 1) once fell short
+    # of dim_b's column reach, and at r = 2.4 auto_dims hit its 513-order cap
+    for scenario, r, dim_a, dim_b in (("dc-ideal-check", "1", "225", "200"),
+                                      ("dc-ideal-check", "2.4", "722", "700"),
+                                      ("dc-pm", "2.4", "722", "700")):
+        texts = []
+        for dims in (["--dim-b", dim_b], ["--dim-a", dim_a, "--dim-b", dim_b]):
+            out = tmp_path / f"{scenario}-{r}-{len(dims)}.csv"
+            args = ["--scenario", scenario, "--r", r, "--m-list", "0,1,2", "--out", str(out)]
+            assert cli.main(args + dims) == 0, (scenario, r, dims)
+            texts.append(out.read_bytes())
+        capsys.readouterr()
+        assert texts[0] == texts[1] and _records_physical(texts[0].decode(), "csv")
+    # an m order beyond a forced dim_b is named before any sizing, here
+    # before the cap that r = 3 would hit
+    args = ["--scenario", "dc-pm", "--dim-b", "5", "--m-list", "0,7", "--r", "3"]
+    assert cli.main(args) == 3
+    assert capsys.readouterr().err == (
+        "pacslab: numerical failure: dim_b=5 leaves no room for m=7 (tail mass 1.000e+00)\n"
+    )
+
+
 def test_beta_time_pair_builds_dimensionless_grid():
     cfg = cli.parse_config(
         ["--scenario", "jc-curve", "--beta", "6283185.3", "--time", "0:3e-05:31"]

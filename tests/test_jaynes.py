@@ -348,29 +348,29 @@ def _series_outcome(fn, p, n_terms):
 
 
 def test_series_equals_the_step_by_step_loop_bitwise():
-    # real, negative and complex alpha, parts of either zero sign; 65 terms
-    # cross the CURVE_BLOCK edge; dims 1 and 2 (an alpha small enough for
-    # them) leave the chain empty or one entry wide, and at beta_t = 200 the
-    # large terms past the first block show any entry the band shifts leave
-    # 0; some beta_t diverge (the reference warns, the kernel must not), so
-    # the error texts are compared too
+    # real, negative and complex alpha, parts of either zero sign; dims 1
+    # and 2 (an alpha small enough for them) leave the chain empty or one
+    # entry wide, and at beta_t = 200 the large late terms show any entry
+    # the band shifts leave 0; some beta_t diverge (the reference warns, the
+    # kernel must not), so the error texts are compared too
     alphas = [0.8, -0.8, 0.6 - 0.9j, complex(0.0, -0.0), complex(-0.0, 0.7), complex(1.2, -0.0)]
     cases = [
         (alpha, bt, dim, n_terms)
         for alpha in alphas
         for bt in (0.0, 1e-3, 0.5, 2.0, 5.0)
         for dim in (None,)
-        for n_terms in (1, 2, 40, CURVE_BLOCK + 1)
+        for n_terms in (1, 2, 40, 65)
     ]
     cases += [
         (1e-9, bt, dim, n)
         for bt in (1.5, 200.0)
         for dim in (1, 2, 3)
-        for n in (1, 2, CURVE_BLOCK + 1)
+        for n in (1, 2, 65)
     ]
     cases += [(0.8, bt, None, 40) for bt in (1e20, 1e30, 1e100, math.inf)]
-    # finite over three blocks; then diverging at terms 84 and 134
-    cases += [(3.0 + 1.0j, 0.7, None, 2 * CURVE_BLOCK + 3), (0.8, 120.0, None, 200)]
+    # finite over 131 terms, and over 1,000 at dim 3, whose chain stays below
+    # 2^1000; then diverging at terms 84 and 134
+    cases += [(3.0 + 1.0j, 0.7, None, 131), (1e-9, 1e-3, 3, 1000), (0.8, 120.0, None, 200)]
     cases += [(0.8, 1000.0, None, 200), (0.8, 300.0, None, 200)]
     for alpha, bt, dim, n_terms in cases:
         p = JcParams(alpha, bt, dim)

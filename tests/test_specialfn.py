@@ -326,9 +326,9 @@ def test_poisson_tail_edges():
 
 def test_laguerre_scans_share_one_table_per_argument():
     # a scan that stops early leaves the orders it computed in x's table;
-    # laguerre reads them and grows the table only past them, to the next
-    # multiple of LAGUERRE_CHUNK; a later scan continues it; every value is
-    # the recurrence's, and a table ends at its first non-finite order
+    # laguerre reads them and grows the table only past them, to twice its
+    # length; a later scan continues it; every value is the recurrence's,
+    # and a table ends at its first non-finite order
     specialfn._laguerre_table.cache_clear()
     x = -0.37
     ref, _ = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
@@ -339,7 +339,7 @@ def test_laguerre_scans_share_one_table_per_argument():
     assert specialfn.laguerre(39, x) == ref[39]
     assert len(specialfn._laguerre_table(x)) == 40
     assert specialfn.laguerre(45, x) == ref[45]
-    assert specialfn._laguerre_table(x) == ref[: 3 * specialfn.LAGUERRE_CHUNK + 1]
+    assert specialfn._laguerre_table(x) == ref[:81]
     assert list(specialfn.laguerre_values(100, x)) == ref[:101]
     assert specialfn._laguerre_table(x) == ref[:101]
     for x in (-1e6, math.nan):
@@ -349,3 +349,23 @@ def test_laguerre_scans_share_one_table_per_argument():
                 list(specialfn.laguerre_values(specialfn.LAGUERRE_M_MAX, x))
         table = specialfn._laguerre_table(x)
         assert table[:bad] == ref and len(table) == bad + 1 and not math.isfinite(table[-1])
+
+
+def test_ascending_laguerre_loop_doubles_its_table(monkeypatch):
+    # each order of an ascending loop, by its bytes, from a table that
+    # doubles whenever it is short: from a fresh table, 9 scans (at 1, 3,
+    # 7, ... orders) reach order 512
+    specialfn._laguerre_table.cache_clear()
+    x = -0.37
+    ref, _ = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
+    scans = []
+    scan = specialfn.laguerre_values
+
+    def counted(m_max, x):
+        scans.append(m_max)
+        return scan(m_max, x)
+
+    monkeypatch.setattr(specialfn, "laguerre_values", counted)
+    values = [specialfn.laguerre(m, x) for m in range(specialfn.LAGUERRE_M_MAX + 1)]
+    assert struct.pack(f"<{len(ref)}d", *ref) == struct.pack(f"<{len(values)}d", *values)
+    assert len(scans) <= 10
