@@ -52,8 +52,10 @@ class DcParams:
     dim_b: int = DEFAULT_DIM_B
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeeze parameter r must be nonnegative")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"squeeze parameter r must be finite and nonnegative, got {self.r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"coupling phase phi must be finite, got {self.phi}")
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError("truncations must be >= 1")
 
@@ -285,6 +287,8 @@ def p_m(alpha: complex, r: float, m: int) -> float:
 def p_m_cumulative(alpha: complex, r: float, m_max: int) -> float:
     """Sum of p_m for m = 0..m_max, added left to right: builtin sum()
     compensates floats from Python 3.12 on."""
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     total = 0.0
     for value in _p_m_values(alpha, r, m_max):
         total += value

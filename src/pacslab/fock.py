@@ -125,7 +125,7 @@ def complex_ladder(dim: int) -> np.ndarray:
     A factor with a zero imaginary part gives the same bits in either
     operand order, in a contiguous product and in an accumulate alike, so a
     recurrence over the real ladder factors may run as one
-    np.multiply.accumulate (jaynes.jc_evolve_series).  A recurrence with a complex factor stays
+    np.multiply.accumulate.  A recurrence with a complex factor stays
     step by step, each step one product in its operand order with its own
     output: numpy's SIMD complex multiply fuses multiply-adds, c*x and x*c
     round differently there, and an accumulate, whose output overlaps its

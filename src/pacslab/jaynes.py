@@ -3,9 +3,11 @@
 The atom starts in its upper level with the cavity in a coherent state.  The
 exact closed-form Rabi solution is the primary evolution path; the operator
 power series of the evolution operator is kept as an independent check that
-must converge to it.  Detecting the atom in the lower level leaves the
-cavity in a photon-added superposition whose re-expansion over photon-added
-coherent states is reconstructed here under selectable conventions.
+must converge to it; as a a+ is diagonal, it is summed per Fock index, as
+the Taylor series of the Rabi cosine and sine.  Detecting the atom in the
+lower level leaves the cavity in a photon-added superposition whose
+re-expansion over photon-added coherent states is reconstructed here under
+selectable conventions.
 """
 
 import math
@@ -18,7 +20,6 @@ from .errors import NumericalFailureError
 from .fock import (
     FockVector,
     coherent_state,
-    complex_ladder,
     default_dim,
     inner_product,
     ladder,
@@ -119,52 +120,41 @@ def jc_evolve_series(p: JcParams, n_terms: int) -> JointAtomFieldState:
     odd powers a+ (a a+)^n |alpha> to the lower one.  Converges to
     jc_evolve_exact.
 
-    On the Fock index k, a+ then a multiply amplitude k by sqrt(k+1) twice,
-    so the chain |alpha>, a+|alpha>, a a+|alpha>, ... is one
-    np.multiply.accumulate over the real ladder factors (fock.complex_ladder
-    gives it the bits of the band shifts a+ and a, as in fock.create);
-    a (a a+)^n row ends in 0 and an a+ (a a+)^n row starts with 0, as the
-    band shifts leave them.  All 2 n_terms chain rows come from one
-    accumulate, so memory is O(n_terms * dim).  Each branch's terms are
-    weighted by one broadcast product and summed in row order by one
-    np.add.reduce from a zero row.  NumericalFailureError names the first
-    term that is not finite.
+    a a+ = N + 1 is diagonal, so on the Fock index k the series is the
+    Taylor series of cos and sin of x_k = beta_t sqrt(k+1), summed to the
+    powers x^(2 n_terms - 1).  Row j of one real np.multiply.accumulate is
+    (-1)^(j//2) x_k^j / j!, row j-1 times +-x_k/j with the minus on even j.
+    One np.add.reduce sums the rows in order: the even rows give field_e =
+    c cos, the odd rows field_g[k+1] = -i c_k sin, field_g[0] = 0, with c
+    the coherent amplitudes and x_k read from the ladder as jc_evolve_exact
+    reads it.  No cos or sin is called.  A term underflows with its weight,
+    so a convergent sum stays finite; NumericalFailureError names the first
+    term that is not, which happens only past beta_t sqrt(dim) of about
+    700, where the sum has lost every digit.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     dim = p.resolved_dim()
-    w = coherent_state(p.alpha, dim).amp
-    tau = -1j * p.beta_t
-    coef = 1.0 + 0.0j
-    coefs, g_coefs = [], []
-    for n in range(n_terms):
-        if n > 0:
-            coef *= tau * tau / ((2 * n - 1) * (2 * n))
-        coefs.append(coef)
-        g_coefs.append(coef * tau / (2 * n + 1))
-    # chain row j sits in columns 1..dim-1 between two zero columns: row 2n
-    # is (a a+)^n |alpha> read from column 1, row 2n+1 its a+ read from 0
-    chain = np.zeros((2 * n_terms, dim + 1), dtype=np.complex128)
-    factors = np.empty((2 * n_terms, dim - 1), dtype=np.complex128)
-    factors[1:] = complex_ladder(dim)
-    factors[0] = w[:-1]
-    chain[0, dim] = w[-1]
-    # each branch: a zero row, then its weighted terms
-    e_terms = np.zeros((n_terms + 1, dim), dtype=np.complex128)
-    g_terms = np.zeros((n_terms + 1, dim), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-        np.multiply.accumulate(factors, axis=0, out=chain[:, 1:dim])
-        np.multiply(np.array(coefs)[:, None], chain[0::2, 1:], out=e_terms[1:])
-        np.multiply(np.array(g_coefs)[:, None], chain[1::2, :dim], out=g_terms[1:])
-    finite = np.isfinite(e_terms[1:]).all(axis=1) & np.isfinite(g_terms[1:]).all(axis=1)
+    c = coherent_state(p.alpha, dim).amp
+    steps = np.arange(1.0, 2 * n_terms)
+    steps[1::2] *= -1.0  # the even steps carry the minus
+    rows = np.empty((2 * n_terms, dim))
+    rows[0] = 1.0
+    with np.errstate(over="ignore"):  # raised just below
+        np.divide(p.beta_t * ladder(dim + 1), steps[:, None], out=rows[1:])
+        np.multiply.accumulate(rows, axis=0, out=rows)
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(
-            f"series term {int(np.argmin(finite))} non-finite at "
+            f"series term {int(np.argmin(finite)) // 2} non-finite at "
             f"beta_t={p.beta_t}, dim={dim}; the partial sums are diverging"
         )
-    return JointAtomFieldState(
-        FockVector(np.add.reduce(e_terms, axis=0)), FockVector(np.add.reduce(g_terms, axis=0))
-    )
+    # summed as row pairs (even | odd), 2 dim wide: a one-column reduce would
+    # sum pairwise rather than in row order
+    cos_sums, sin_sums = np.add.reduce(rows.reshape(n_terms, 2, dim))
+    fg = np.zeros(dim, dtype=np.complex128)
+    fg[1:] = -1j * c[:-1] * sin_sums[:-1]
+    return JointAtomFieldState(FockVector(c * cos_sums), FockVector(fg))
 
 
 @dataclass(eq=False)

@@ -317,6 +317,18 @@ def test_params_validation():
         dc.DcParams(0.8, -0.1)
     with pytest.raises(ValueError):
         dc.p_m(0.8, 1.0, -1)
+    # NaN passes `r < 0` and the closed form's norm check alike; r = inf
+    # overflowed in dc_evolve_numeric
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dc.DcParams(0.8, r, 0.0, 48, 24)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            dc.DcParams(0.8, 1.0, phi, 48, 24)
+    # r = 0 once returned 0.0 here, while r > 0 raised from the Laguerre scan
+    for r in (0.0, 1.0):
+        with pytest.raises(ValueError, match="m_max must be nonnegative"):
+            dc.p_m_cumulative(0.8, r, -1)
 
 
 def _closed_reference(p, norm_tol=dc.DEFAULT_NORM_TOL):

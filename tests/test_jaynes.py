@@ -298,42 +298,27 @@ def test_overlap_curve_builds_params_only_for_the_first_failing_beta_t(monkeypat
 
 
 def _series_reference(p, n_terms):
-    """jc_evolve_series as its step-by-step loop computed it before the
-    accumulate: one band shift per operator (the real band times the
-    amplitudes, as the library's band shifts then were), one weighted term
-    and one finiteness check per power, each term added to the running sums."""
+    """jc_evolve_series step by step: on every Fock index k, each Taylor
+    term of cos and sin of x_k = beta_t sqrt(k+1) is the previous one times
+    +-x_k/j (the minus on even j), checked for finiteness and added to its
+    branch's running sum, rows in order; c, -i and the one-index lift of the
+    lower branch come after the sums."""
     dim = p.resolved_dim()
-    band = np.sqrt(np.arange(1.0, dim))
-
-    def create(amp):
-        out = np.zeros(dim, np.complex128)
-        out[1:] = band * amp[:-1]
-        return out
-
-    def annihilate(amp):
-        out = np.zeros(dim, np.complex128)
-        out[:-1] = band * amp[1:]
-        return out
-
-    w = fock.coherent_state(p.alpha, dim).amp
-    tau = -1j * p.beta_t
-    e_amp = np.zeros(dim, dtype=np.complex128)
-    g_amp = np.zeros(dim, dtype=np.complex128)
-    coef = 1.0 + 0.0j
-    for n in range(n_terms):
-        if n > 0:
-            w = annihilate(create(w))
-            coef *= tau * tau / ((2 * n - 1) * (2 * n))
-        e_term = coef * w
-        g_term = (coef * tau / (2 * n + 1)) * create(w)
-        if not (np.isfinite(e_term).all() and np.isfinite(g_term).all()):
+    x = p.beta_t * np.sqrt(np.arange(1.0, dim + 1))
+    term = np.ones(dim)
+    sums = [term.copy(), np.zeros(dim)]
+    for j in range(1, 2 * n_terms):
+        term = term * (x / (j if j % 2 else -j))
+        if not np.isfinite(term).all():
             raise NumericalFailureError(
-                f"series term {n} non-finite at beta_t={p.beta_t}, dim={dim}; "
+                f"series term {j // 2} non-finite at beta_t={p.beta_t}, dim={dim}; "
                 "the partial sums are diverging"
             )
-        e_amp += e_term
-        g_amp += g_term
-    return e_amp, g_amp
+        sums[j % 2] = sums[j % 2] + term
+    c = fock.coherent_state(p.alpha, dim).amp
+    g_amp = np.zeros(dim, dtype=np.complex128)
+    g_amp[1:] = -1j * c[:-1] * sums[1][:-1]
+    return c * sums[0], g_amp
 
 
 def _series_outcome(fn, p, n_terms):
@@ -349,10 +334,11 @@ def _series_outcome(fn, p, n_terms):
 
 def test_series_equals_the_step_by_step_loop_bitwise():
     # real, negative and complex alpha, parts of either zero sign; dims 1
-    # and 2 (an alpha small enough for them) leave the chain empty or one
-    # entry wide, and at beta_t = 200 the large late terms show any entry
-    # the band shifts leave 0; some beta_t diverge (the reference warns, the
-    # kernel must not), so the error texts are compared too
+    # and 2 (an alpha small enough for them) leave one or two Fock indices,
+    # where a one-column sum would not run in row order, and at beta_t = 200
+    # the large late terms show any misplaced sign or index; some beta_t
+    # diverge (the reference warns, the kernel must not), so the error texts
+    # are compared too
     alphas = [0.8, -0.8, 0.6 - 0.9j, complex(0.0, -0.0), complex(-0.0, 0.7), complex(1.2, -0.0)]
     cases = [
         (alpha, bt, dim, n_terms)
@@ -368,14 +354,31 @@ def test_series_equals_the_step_by_step_loop_bitwise():
         for n in (1, 2, 65)
     ]
     cases += [(0.8, bt, None, 40) for bt in (1e20, 1e30, 1e100, math.inf)]
-    # finite over 131 terms, and over 1,000 at dim 3, whose chain stays below
-    # 2^1000; then diverging at terms 84 and 134
+    # finite over 131, 1,000 and 200 terms; then diverging at terms 78
+    # (beta_t 1000) and 121 (beta_t 300)
     cases += [(3.0 + 1.0j, 0.7, None, 131), (1e-9, 1e-3, 3, 1000), (0.8, 120.0, None, 200)]
     cases += [(0.8, 1000.0, None, 200), (0.8, 300.0, None, 200)]
+    # a NaN alpha gives NaN fields, as jc_evolve_exact does
+    cases += [(math.nan, 0.5, 4, 3)]
     for alpha, bt, dim, n_terms in cases:
         p = JcParams(alpha, bt, dim)
         got = _series_outcome(jc_evolve_series, p, n_terms)
         assert got == _series_outcome(_series_reference, p, n_terms), (alpha, bt, dim, n_terms)
+
+
+def test_thousand_term_series_converge():
+    # each term underflows with its weight, so a long convergent series stays
+    # finite; (0.8, 1e-3) once raised "series term 220 non-finite"
+    for alpha in (0.8, 1.5 + 0.7j, 2.5, -0.3 + 1.1j, 0.0):
+        for beta_t in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0):
+            p = JcParams(alpha, beta_t)
+            exact = jc_evolve_exact(p)
+            for n_terms in (40, 1000):
+                series = jc_evolve_series(p, n_terms)
+                assert np.isfinite(series.field_e.amp).all()
+                assert np.isfinite(series.field_g.amp).all()
+                deficit = abs(1 - joint_fidelity(series, exact))
+                assert deficit <= 1e-14, (alpha, beta_t, n_terms, deficit)
 
 
 @pytest.mark.parametrize("beta_t, term", [(1e20, 8), (1e100, 2), (1e30, 5)])

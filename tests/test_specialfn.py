@@ -3,6 +3,8 @@ import contextlib
 import math
 import random
 import struct
+import sys
+import threading
 import time
 
 import mpmath
@@ -369,3 +371,104 @@ def test_ascending_laguerre_loop_doubles_its_table(monkeypatch):
     values = [specialfn.laguerre(m, x) for m in range(specialfn.LAGUERRE_M_MAX + 1)]
     assert struct.pack(f"<{len(ref)}d", *ref) == struct.pack(f"<{len(values)}d", *values)
     assert len(scans) <= 10
+
+
+def test_an_overtaken_scan_keeps_its_values_and_drops_its_run():
+    # two scans start on a one-order table; laguerre(100) grows it past them;
+    # the scan closed then and the scan run on to its end both leave the
+    # table as that growth left it, and the second still yields every order
+    # of the recurrence
+    specialfn._laguerre_table.cache_clear()
+    x = -2.5
+    ref, _ = _laguerre_reference(specialfn.LAGUERRE_M_MAX, x)
+    closed = specialfn.laguerre_values(specialfn.LAGUERRE_M_MAX, x)
+    finished = specialfn.laguerre_values(specialfn.LAGUERRE_M_MAX, x)
+    assert [next(closed) for _ in range(40)] == ref[:40]
+    head = [next(finished) for _ in range(40)]
+    assert specialfn.laguerre(100, x) == ref[100]
+    closed.close()
+    assert specialfn._laguerre_table(x) == ref[:101]
+    values = head + list(finished)
+    assert struct.pack(f"<{len(ref)}d", *ref) == struct.pack(f"<{len(values)}d", *values)
+    assert specialfn._laguerre_table(x) == ref[:101]
+
+
+def _laguerre_outcome(m_max, x, n):
+    """The bytes of the first n values of laguerre_values(m_max, x), closed
+    after them, and the text of the error that ended them, if any."""
+    scan = specialfn.laguerre_values(m_max, x)
+    values, error = [], None
+    try:
+        for _ in range(n):
+            values.append(next(scan))
+    except StopIteration:
+        pass
+    except NumericalFailureError as exc:
+        error = str(exc)
+    finally:
+        scan.close()
+    return struct.pack(f"<{len(values)}d", *values), error
+
+
+def test_threaded_laguerre_calls_and_scans_keep_the_recurrence():
+    # 8 threads of random laguerre calls and scans closed part-way, on
+    # arguments whose tables end at an overflow or run to the cap; every
+    # value and error is the recurrence's, and every table stays a prefix of
+    # it, however the growths interleave
+    top = specialfn.LAGUERRE_M_MAX
+    xs = (-377.9, -1e6, -0.64, 4.0, 60.0)
+    refs = {x: _laguerre_reference(top, x) for x in xs}
+
+    def expected(m_max, x, n):
+        ref, bad = refs[x]
+        k = min(n, m_max + 1)
+        if k <= len(ref):
+            return struct.pack(f"<{k}d", *ref[:k]), None
+        return struct.pack(f"<{len(ref)}d", *ref), f"laguerre({bad}, {x}) left the double range"
+
+    faults = []
+
+    def work(seed, barrier):
+        rng = random.Random(seed)
+        try:
+            barrier.wait()
+            for _ in range(40):
+                x, m = rng.choice(xs), rng.randrange(top + 1)
+                if rng.random() < 0.5:
+                    try:
+                        got = struct.pack("<d", specialfn.laguerre(m, x))
+                    except NumericalFailureError as exc:
+                        got = str(exc)
+                    ref_bytes, error = expected(m, x, m + 1)
+                    want = error or ref_bytes[-8:]
+                else:
+                    n = rng.randrange(m + 2)
+                    got, want = _laguerre_outcome(m, x, n), expected(m, x, n)
+                if got != want:
+                    faults.append((seed, x, m))
+        except Exception as exc:  # a thread's failure reaches the test
+            faults.append((seed, repr(exc)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' scans finely
+    try:
+        for round_ in range(5):
+            specialfn._laguerre_table.cache_clear()
+            barrier = threading.Barrier(8, timeout=60)
+            threads = [
+                threading.Thread(target=work, args=(f"{round_}/{i}", barrier)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert faults == []
+            for x, (ref, bad) in refs.items():
+                table = specialfn._laguerre_table(x)
+                assert table[: len(ref)] == ref[: len(table)], x
+                assert len(table) <= len(ref) or (
+                    len(table) == bad + 1 and not math.isfinite(table[-1])
+                ), x
+    finally:
+        sys.setswitchinterval(switch)
