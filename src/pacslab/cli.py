@@ -18,16 +18,6 @@ import numpy as np
 from . import checks
 from .errors import ConfigError, NumericalFailureError, PacslabError
 
-# per scenario: default (start, stop, count) grid, default m list and the
-# options it reads besides scenario, config, out and format
-_DEFAULTS = {
-    "jc-curve": ((0.0, 6.0, 121), (1, 2, 3), "alpha beta_t beta time m_list dim_a"),
-    "dc-overlap": ((0.0, 2.0, 41), (), "alpha r dim_a"),
-    "dc-pm": ((1.0, 1.0, 1), tuple(range(11)), "alpha r m_list dim_a dim_b tol"),
-    "dc-ideal-check": ((0.0, 2.0, 9), (0, 1, 2, 3, 4), "alpha r m_list dim_a dim_b"),
-    "verify": ((0.0, 0.0, 1), (), "tol"),
-}
-SCENARIOS = tuple(_DEFAULTS)
 FORMATS = ("csv", "json")
 # every option in usage order; the flag --dim-a is the config file key dim_a
 OPTIONS = tuple(
@@ -39,7 +29,7 @@ OPTIONS = tuple(
 class RunConfig:
     scenario: str
     alpha: complex
-    grid: tuple  # (start, stop, count) over beta_t (jc) or r (dc)
+    grid: tuple  # (start, stop, count) over the scenario's grid option
     m_list: tuple
     dim_a: int | None
     dim_b: int | None
@@ -153,16 +143,16 @@ def parse_config(argv) -> RunConfig | None:
     if flags is None:
         return None
     values = dict.fromkeys(OPTIONS)
-    if flags.get("config"):
+    if "config" in flags:
         values |= _read_config_file(flags["config"], set(OPTIONS) - {"config"}, errors)
     ns = SimpleNamespace(**(values | flags))
 
-    scenario = ns.scenario or "verify"
+    scenario = "verify" if ns.scenario is None else ns.scenario
     if scenario not in SCENARIOS:
         errors.append(f"unknown scenario {scenario!r} (choices: {', '.join(SCENARIOS)})")
         scenario = "verify"
-    grid, m_list, reads = _DEFAULTS[scenario]
-    allowed = {"scenario", "config", "out", "format", *reads.split()}
+    _, grid_option, grid, m_list, reads = _SCENARIOS[scenario]
+    allowed = {"scenario", "config", "out", "format", grid_option, *reads}
     for key in OPTIONS:
         if getattr(ns, key) is not None and key not in allowed:
             errors.append(f"{_flag(key)} does not apply to {scenario}")
@@ -178,14 +168,14 @@ def parse_config(argv) -> RunConfig | None:
         else:
             alpha = parsed
 
-    # only jc-curve reads beta_t, beta and time, and it never reads r
-    if ns.beta_t is not None and (ns.beta is not None or ns.time is not None):
-        errors.append("give either --beta-t or the --beta/--time pair, not both")
-    name, text = ("beta_t", ns.beta_t) if ns.beta_t is not None else ("r", ns.r)
+    # the grid comes from the scenario's grid option or the --beta/--time pair
+    text = vars(ns).get(grid_option)
+    if text is not None and (ns.beta is not None or ns.time is not None):
+        errors.append(f"give either {_flag(grid_option)} or the --beta/--time pair, not both")
     if text is not None:
         g = _parse_grid(text)
         if g is None:
-            errors.append(f"malformed {name} grid {text!r}")
+            errors.append(f"malformed {grid_option} grid {text!r}")
         else:
             grid = g
     elif ns.beta is not None or ns.time is not None:
@@ -239,10 +229,12 @@ def parse_config(argv) -> RunConfig | None:
         except ValueError:
             errors.append(f"malformed tol {ns.tol!r} (real in (0, 1) required)")
 
-    fmt = ns.format or "csv"
+    fmt = "csv" if ns.format is None else ns.format
     if fmt not in FORMATS:
         errors.append(f"unknown format {fmt!r} (choices: csv, json)")
         fmt = "csv"
+    if ns.out == "":
+        errors.append("out must name a file, got ''")
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
@@ -354,13 +346,21 @@ def run_verify(cfg: RunConfig):
     return checks.verify(cfg.tol), None
 
 
-_RUNNERS = {
-    "jc-curve": run_jc_curve,
-    "dc-overlap": run_dc_overlap,
-    "dc-pm": run_dc_pm,
-    "dc-ideal-check": run_dc_ideal,
-    "verify": run_verify,
+# per scenario: runner, grid option (or None) with its default (start, stop,
+# count), default m list, other options read besides scenario/config/out/format
+_SCENARIOS = {
+    "jc-curve": (run_jc_curve, "beta_t", (0.0, 6.0, 121), (1, 2, 3),
+                 ("alpha", "beta", "time", "m_list", "dim_a")),
+    "dc-overlap": (run_dc_overlap, "r", (0.0, 2.0, 41), (), ("alpha", "dim_a")),
+    "dc-pm": (run_dc_pm, "r", (1.0, 1.0, 1), tuple(range(11)),
+              ("alpha", "m_list", "dim_a", "dim_b", "tol")),
+    "dc-ideal-check": (run_dc_ideal, "r", (0.0, 2.0, 9), (0, 1, 2, 3, 4),
+                       ("alpha", "m_list", "dim_a", "dim_b")),
+    "verify": (run_verify, None, (0.0, 0.0, 1), (), ("tol",)),
 }
+SCENARIOS = tuple(_SCENARIOS)
+# run looks its runner up here at call time, so a runner replaced here is used
+_RUNNERS = {scenario: entry[0] for scenario, entry in _SCENARIOS.items()}
 
 
 def run(cfg: RunConfig) -> int:
@@ -374,7 +374,7 @@ def run(cfg: RunConfig) -> int:
         text = write_json(columns, rows, cfg.fingerprint())
 
     summary_stream = sys.stdout
-    if cfg.out:
+    if cfg.out is not None:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -40,6 +40,12 @@ DEFAULT_TAIL_TARGET = 1e-9
 CLOSED_BLOCK = 32
 
 
+def _check_r(r: float) -> None:
+    """Raise ValueError unless the squeeze parameter r is finite and >= 0."""
+    if not 0 <= r < math.inf:
+        raise ValueError(f"squeeze parameter r must be finite and nonnegative, got {r}")
+
+
 @dataclass(frozen=True)
 class DcParams:
     """Pair-coupling run: seed amplitude, squeeze parameter r = |lambda| t,
@@ -52,8 +58,7 @@ class DcParams:
     dim_b: int = DEFAULT_DIM_B
 
     def __post_init__(self):
-        if not 0 <= self.r < math.inf:
-            raise ValueError(f"squeeze parameter r must be finite and nonnegative, got {self.r}")
+        _check_r(self.r)
         if not math.isfinite(self.phi):
             raise ValueError(f"coupling phase phi must be finite, got {self.phi}")
         if self.dim_a < 1 or self.dim_b < 1:
@@ -259,8 +264,7 @@ def _p_m_values(alpha: complex, r: float, m_max: int):
     """p_m for m = 0..m_max (see p_m), its Laguerre values read from
     specialfn.laguerre's tables: auto_dims, p_m and p_m_cumulative at one
     (alpha, r) share one recurrence."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_r(r)
     if r == 0.0:
         yield from (1.0 if m == 0 else 0.0 for m in range(m_max + 1))
         return
@@ -317,6 +321,7 @@ def required_dim_b(alpha: complex, r: float) -> int:
 def required_dim_a(alpha: complex, r: float, dim_b: int) -> int:
     """Signal truncation for the idler truncation dim_b: the dim_b - 1
     columns the pair creation reaches, plus headroom for |alpha / cosh r>."""
+    _check_r(r)
     aa = abs(alpha) / math.cosh(r)
     return dim_b + int(math.ceil(aa * aa + 8.0 * aa + 16.0)) + 4
 
@@ -340,10 +345,10 @@ def spacs_overlap_closed(alpha: complex, r: float) -> float:
     overlap of the two states it nominally describes (see
     spacs_overlap_numeric) everywhere except r = 0 and the r -> infinity
     saturation; both routes are therefore emitted side by side and never
-    silently reconciled.
+    silently reconciled.  r = inf raises: spacs_overlap_saturation is that
+    limit.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_r(r)
     aa = abs(alpha) ** 2
     ch2 = math.cosh(r) ** 2
     return (1.0 + aa / ch2) / (1.0 + aa) * math.exp(-aa * (1.0 - 1.0 / ch2))
@@ -357,6 +362,7 @@ def spacs_overlap_saturation(alpha: complex) -> float:
 
 def spacs_overlap_numeric(alpha: complex, r: float, dim: int | None = None) -> float:
     """Brute-force |<alpha,1 | alpha/cosh r,1>|^2 with both states normalized."""
+    _check_r(r)
     if dim is None:
         dim = default_dim(alpha) + 8
     at = alpha / math.cosh(r)
@@ -367,6 +373,5 @@ def spacs_overlap_numeric(alpha: complex, r: float, dim: int | None = None) -> f
 def seed_amplitude(alpha_target: complex, r: float) -> complex:
     """Seed amplitude alpha_target * cosh r whose conditioned photon-added
     state comes out with amplitude alpha_target."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_r(r)
     return alpha_target * math.cosh(r)

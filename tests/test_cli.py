@@ -88,10 +88,38 @@ def test_malformed_values_all_reported():
 
 
 def test_scenario_grid_flag_mismatch():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         cli.parse_config(["--scenario", "jc-curve", "--r", "0:1:5"])
-    with pytest.raises(ConfigError):
+    assert str(exc.value).splitlines()[1:] == ["  --r does not apply to jc-curve"]
+    with pytest.raises(ConfigError) as exc:
         cli.parse_config(["--scenario", "dc-pm", "--beta-t", "0:1:5"])
+    assert str(exc.value).splitlines()[1:] == ["  --beta-t does not apply to dc-pm"]
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["--scenario="], None,
+         "unknown scenario '' (choices: jc-curve, dc-overlap, dc-pm, dc-ideal-check, verify)"),
+        (["--scenario", "dc-pm", "--format="], None, "unknown format '' (choices: csv, json)"),
+        (["--scenario", "dc-pm", "--config="], None,
+         "config file: [Errno 2] No such file or directory: ''"),
+        (["--scenario", "dc-pm", "--out="], None, "out must name a file, got ''"),
+        ([], "scenario =\n",
+         "unknown scenario '' (choices: jc-curve, dc-overlap, dc-pm, dc-ideal-check, verify)"),
+        ([], "scenario = dc-pm\nformat =\n", "unknown format '' (choices: csv, json)"),
+        ([], "scenario = dc-pm\nout =\n", "out must name a file, got ''"),
+    ],
+)
+def test_empty_values_are_configuration_errors(tmp_path, capsys, args, config, message):
+    # an empty value once meant an absent one: verify ran, CSV was written,
+    # no file was read or the records went to stdout
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", ["pacslab: invalid configuration:", f"  {message}"])
 
 
 @pytest.mark.parametrize("flag", ["--help", "-h"])
@@ -601,13 +629,14 @@ def _grid_text(start: float, stop: float, count: int) -> str:
 @st.composite
 def _cli_args(draw):
     scenario = draw(st.sampled_from(cli.SCENARIOS))
-    reads = cli._DEFAULTS[scenario][2].split()
+    _, grid_option, _, _, others = cli._SCENARIOS[scenario]
+    reads = {grid_option, *others} - {None}
     options = {
         "alpha": st.one_of(
             st.complex_numbers(max_magnitude=40.0).map(_complex_text),
             st.sampled_from(_SPECIAL_ALPHAS),
         ),
-        "r" if scenario != "jc-curve" else "beta_t": st.builds(
+        grid_option: st.builds(
             _grid_text, _ENDPOINTS, _ENDPOINTS, st.integers(-1, 4)
         ),
         "m_list": st.lists(st.integers(-1, 40), min_size=1, max_size=4).map(

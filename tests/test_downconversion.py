@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -318,10 +319,25 @@ def test_params_validation():
     with pytest.raises(ValueError):
         dc.p_m(0.8, 1.0, -1)
     # NaN passes `r < 0` and the closed form's norm check alike; r = inf
-    # overflowed in dc_evolve_numeric
-    for r in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="nonnegative"):
-            dc.DcParams(0.8, r, 0.0, 48, 24)
+    # overflowed in dc_evolve_numeric.  Every function that takes r checks it
+    # alike: p_m once returned NaN, p_m_cumulative 0.0 and seed_amplitude
+    # inf, and spacs_overlap_numeric took a negative r
+    takes_r = (
+        lambda r: dc.DcParams(0.8, r, 0.0, 48, 24),
+        lambda r: dc.p_m(0.8, r, 0),
+        lambda r: dc.p_m_cumulative(0.8, r, 3),
+        lambda r: dc.required_dim_b(0.8, r),
+        lambda r: dc.required_dim_a(0.8, r, 24),
+        lambda r: dc.auto_dims(0.8, r),
+        lambda r: dc.spacs_overlap_closed(0.8, r),
+        lambda r: dc.spacs_overlap_numeric(0.8, r),
+        lambda r: dc.seed_amplitude(0.8, r),
+    )
+    for r in (-0.1, math.nan, math.inf, -math.inf):
+        text = f"squeeze parameter r must be finite and nonnegative, got {r}"
+        for call in takes_r:
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call(r)
     for phi in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="phi must be finite"):
             dc.DcParams(0.8, 1.0, phi, 48, 24)

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import pacslab
+from pacslab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +32,15 @@ def test_readme_names_resolve():
         name for name in constants if not any(hasattr(m, name) for m in MODULES.values())
     )
     assert missing == []
+
+
+def test_readme_cli_table_matches_the_scenario_table():
+    text = README.read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", text, re.MULTILINE))
+    assert rows.keys() == cli._SCENARIOS.keys()
+    for scenario, (_, grid_option, _, _, others) in cli._SCENARIOS.items():
+        flags = set(re.findall(r"`(--[a-z-]+)`", rows[scenario]))
+        assert flags == {cli._flag(key) for key in (grid_option, *others) if key}, scenario
+    # the config keys: every option but config itself, in usage order
+    keys = re.search(r"Its keys\s+are the flag names with `_` for `-` \(([^)]*)\)", text)
+    assert tuple(re.findall(r"`(\w+)`", keys[1])) == tuple(k for k in cli.OPTIONS if k != "config")
