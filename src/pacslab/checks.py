@@ -16,7 +16,7 @@ import numpy as np
 
 from . import downconversion as dc
 from . import fock, jaynes, pacs, specialfn
-from .errors import EmptyBranchError, TruncationError
+from .errors import EmptyBranchError, NumericalFailureError, TruncationError
 
 # cavity overlap moduli |<psi_g | alpha, m>| of alpha = 0.8 as beta_t -> 0+
 JC_ANCHORS = {1: 1.0, 2: 0.73980, 3: 0.39261}
@@ -66,9 +66,15 @@ def overlap_rows(alpha: complex, rs, dim=None) -> list:
 def _pair_dims(alpha: complex, rs, ms, dim_a, dim_b) -> list:
     """(r, dim_a, dim_b) per r, automatic unless forced.  auto_dims runs only
     for a missing dim_b, so a forced one passes its Laguerre order cap; a
-    missing dim_a is sized from the dim_b in use.  Raises TruncationError
-    before any evolution, and before any sizing for a forced dim_b, when an
-    m order does not fit."""
+    missing dim_a is sized from the dim_b in use.  Raises, before any
+    evolution: NumericalFailureError for an m order above the Laguerre order
+    cap, which p_m cannot reach and whose photon-added state overflows;
+    TruncationError, before any sizing for a forced dim_b, for an m order
+    that does not fit."""
+    if ms and max(ms) > specialfn.LAGUERRE_M_MAX:
+        raise NumericalFailureError(
+            f"m={max(ms)} exceeds the Laguerre order cap {specialfn.LAGUERRE_M_MAX}"
+        )
     out = []
     for r in rs:
         r = float(r)

@@ -82,13 +82,7 @@ class TwoModeState:
         return self.amp.shape[1]
 
     def norm_sq(self) -> float:
-        """The correctly rounded sum of the row norms.
-
-        OpenBLAS splits a zdotc longer than 10,000 entries over its threads,
-        so a whole-grid vdot would wait on a second core and round by the
-        thread count; a row of dim_b entries stays on the calling thread.
-        """
-        return math.fsum(vdot_rows(self.amp, self.amp).real.tolist())
+        return vdot(self.amp, self.amp).real
 
 
 def default_dim(alpha: complex) -> int:
@@ -157,14 +151,18 @@ def vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """vdot_rows of two arrays of one shape, each taken whole as one row.
+    """sum conj(a) b over two arrays of one shape: vdot_rows over the last
+    axis, the rows' real and imaginary parts each added exactly by fsum.
 
-    The rows are reshaped, not ravelled: a strided column stays a view, as in
-    np.vdot, since BLAS sums a strided row in another order than a copy.
+    A 1-d array is one row and sums bit for bit as np.vdot sums it, strided
+    columns too.  A grid goes to BLAS a row at a time, since OpenBLAS splits
+    a zdotc over about 10,000 entries by its thread count.  fsum raises
+    OverflowError when finite rows overflow, ValueError on inf - inf.
     """
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dims differ: {a.shape} vs {b.shape}")
-    return complex(vdot_rows(a.reshape(-1), b.reshape(-1)))
+    rows = vdot_rows(a, b).reshape(-1)
+    return complex(math.fsum(rows.real.tolist()), math.fsum(rows.imag.tolist()))
 
 
 def annihilation_matrix(dim: int) -> OperatorMatrix:
@@ -273,9 +271,7 @@ def inner_product(psi: FockVector, phi: FockVector) -> complex:
 
 def fidelity(psi: FockVector | TwoModeState, phi: FockVector | TwoModeState) -> float:
     """|<psi|phi>|^2 between the normalized states, single- or two-mode."""
-    # the norms are summed as the overlap is, by one vdot over the whole array
-    norms = vdot(psi.amp, psi.amp).real * vdot(phi.amp, phi.amp).real
-    return abs(vdot(psi.amp, phi.amp)) ** 2 / norms
+    return abs(vdot(psi.amp, phi.amp)) ** 2 / (psi.norm_sq() * phi.norm_sq())
 
 
 def normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,8 +352,7 @@ def project_b(state: TwoModeState, m: int) -> tuple[FockVector, float]:
 
 def number_moments(psi: FockVector) -> tuple[float, float]:
     """(mean, variance) of the photon number of the normalized state."""
-    p = np.abs(psi.amp) ** 2
-    p = p / p.sum()
+    p = np.abs(psi.amp) ** 2 / psi.norm_sq()
     ns = np.arange(psi.dim)
     mean = vdot(p, ns).real
     var = vdot(p, (ns - mean) ** 2).real

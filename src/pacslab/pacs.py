@@ -9,7 +9,9 @@ are exposed because downstream expansions need to select a convention.
 import math
 from dataclasses import dataclass
 
-from .errors import TruncationError
+import numpy as np
+
+from .errors import NumericalFailureError, TruncationError
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockVector,
@@ -18,8 +20,12 @@ from .fock import (
     create,
     inner_product,
     normalize,
+    vdot,
 )
 from .specialfn import laguerre, log_factorial
+
+# (m + 1) ln dim below which a+^m |alpha> at dim cannot overflow (see _lift)
+_LOG_SAFE = 700.0
 
 
 @dataclass(frozen=True)
@@ -51,13 +57,35 @@ def _checked_coherent(spec: PacsSpec, dim: int):
     return amp
 
 
+def _lift(amp, spec: PacsSpec, dim: int, times: int):
+    """amp after `times` creation applications, the last of which reaches
+    order spec.m; NumericalFailureError, with no numpy warning, when the
+    squared norm of that order leaves the double range.
+
+    An amplitude of a+^m |alpha> at dim is below dim^(m/2), as the coherent
+    ones are at most 1, so its squared norm is below dim^(m+1): an (m, dim)
+    that keeps that below e^_LOG_SAFE cannot overflow and skips the check."""
+    if (spec.m + 1) * math.log(dim) < _LOG_SAFE:
+        for _ in range(times):
+            amp = create(amp)
+        return amp
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        for _ in range(times):
+            amp = create(amp)
+        norm_sq = vdot(amp, amp).real
+    if not math.isfinite(norm_sq):
+        raise NumericalFailureError(
+            f"pacs(alpha={spec.alpha}, m={spec.m}) at dim={dim} leaves the double "
+            f"range (squared norm {norm_sq})"
+        )
+    return amp
+
+
 def pacs_state(spec: PacsSpec, dim: int, normalized: bool = False) -> FockVector:
     """Fock amplitudes of the order-m photon-added coherent state: m
     creation applications to the coherent state (see _checked_coherent for
-    the truncation checks)."""
-    amp = _checked_coherent(spec, dim)
-    for _ in range(spec.m):
-        amp = create(amp)
+    the truncation checks and _lift for the range check)."""
+    amp = _lift(_checked_coherent(spec, dim), spec, dim, spec.m)
     return normalize(amp)[0] if normalized else FockVector(amp)
 
 
@@ -67,8 +95,9 @@ def pacs_kets(alpha: complex, m_max: int, dim: int) -> list:
     order is checked as pacs_state checks it, in ascending order."""
     kets, amp = [], None
     for m in range(1, m_max + 1):
-        seed = _checked_coherent(PacsSpec(alpha, m), dim)
-        amp = create(seed if amp is None else amp)
+        spec = PacsSpec(alpha, m)
+        seed = _checked_coherent(spec, dim)
+        amp = _lift(seed if amp is None else amp, spec, dim, 1)
         kets.append(amp)
     return kets
 

@@ -445,6 +445,38 @@ def test_truncation_failures_pinned(tmp_path, capsys, args, reason):
     assert not out.exists()
 
 
+# the exact stderr line of m orders out of reach, raised before any record:
+# above the Laguerre order cap, which the closed-form p_m cannot pass, also
+# under a forced dim_b that fits them; and photon-added targets whose
+# amplitudes (m = 400) or only their squared norm (m = 200) leave the double
+# range, once a numpy warning and then "non-finite records" or a fidelity of 0
+RANGE_FAILURES = [
+    (["--scenario", "dc-pm", "--r", "1", "--dim-b", "700", "--m-list", "600"],
+     "m=600 exceeds the Laguerre order cap 512"),
+    (["--scenario", "dc-ideal-check", "--r", "1", "--dim-b", "700", "--m-list", "0,513"],
+     "m=513 exceeds the Laguerre order cap 512"),
+    (["--scenario", "jc-curve", "--m-list", "400", "--dim-a", "500", "--beta-t", "1"],
+     "pacs(alpha=(0.8+0j), m=400) at dim=500 leaves the double range (squared norm nan)"),
+    (["--scenario", "jc-curve", "--m-list", "200", "--dim-a", "300", "--beta-t", "1"],
+     "pacs(alpha=(0.8+0j), m=200) at dim=300 leaves the double range (squared norm inf)"),
+    (["--scenario", "dc-ideal-check", "--r", "1", "--dim-b", "450", "--m-list", "400"],
+     "pacs(alpha=(0.5184434189311083+0j), m=400) at dim=475 leaves the double range "
+     "(squared norm nan)"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    RANGE_FAILURES,
+    ids=["-".join(args[1:]).replace("--", "") for args, _ in RANGE_FAILURES],
+)
+def test_orders_out_of_range_pinned(tmp_path, capsys, args, reason):
+    out = tmp_path / "x.csv"
+    assert cli.main(args + ["--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"pacslab: numerical failure: {reason}\n")
+    assert not out.exists()
+
+
 def test_memory_error_exits_3_without_output(tmp_path, capsys, monkeypatch):
     # a forced truncation too large to allocate; raised, not allocated, since
     # whether a huge allocation fails depends on the host's overcommit policy
@@ -499,8 +531,8 @@ DEFAULT_RECORD_DIGESTS = {
     ("dc-pm", "json"): "b9706bbf41d89edab79ecc80d9a98798fa2f43efb67574670300b6de74581d79",
     ("dc-ideal-check", "csv"): "36237c0a535c377c78536d42020ae38b154a02f4da38a738c683ddc59cbc990c",
     ("dc-ideal-check", "json"): "3ca486a400dcab254e1e4039c6642edc676ae30e2e7868edbf78041a15fa9c23",
-    ("verify", "csv"): "d593648d7ddfb02ca1039c70c759e444e0cfb8b2c56bc9f97c0e98028cc75b99",
-    ("verify", "json"): "a315eedf80f713408ab32c7ae8a465df65342b955818ea155c981cf087c47aa8",
+    ("verify", "csv"): "96aedfaa113aff3b8cf548689c53cf3146ba1b828577f10759f75f634229d33b",
+    ("verify", "json"): "94947800031f7a4bfcc2b6fc8f11d75d127bcd54d63b736e2fc5e6d276d5f3a6",
 }
 
 
@@ -512,6 +544,30 @@ def test_default_records_pinned(tmp_path):
             cli.main(["--scenario", scenario, "--format", fmt, "--out", str(out)])
             digests[scenario, fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == DEFAULT_RECORD_DIGESTS
+
+
+def test_default_records_hold_across_blas_thread_counts(tmp_path):
+    """The pinned records under one, two and four OpenBLAS threads: no
+    library sum hands OpenBLAS more than one grid row or one state, so no
+    thread split reorders a sum.  OpenBLAS kernel variants
+    (OPENBLAS_CORETYPE) stay out: their kernels add a row's terms in another
+    order, and 8 of 10 digests move under Prescott, 4 under Haswell."""
+    code = (
+        "import sys, pacslab.cli as cli\n"
+        "for scenario in cli.SCENARIOS:\n"
+        "    for fmt in cli.FORMATS:\n"
+        "        out = f'{sys.argv[1]}/{scenario}.{fmt}'\n"
+        "        cli.main(['--scenario', scenario, '--format', fmt, '--out', out])\n"
+    )
+    for threads in ("1", "2", "4"):
+        out = tmp_path / threads
+        out.mkdir()
+        _fresh_python(code, str(out), OPENBLAS_NUM_THREADS=threads)
+        digests = {
+            (scenario, fmt): hashlib.sha256((out / f"{scenario}.{fmt}").read_bytes()).hexdigest()
+            for scenario, fmt in DEFAULT_RECORD_DIGESTS
+        }
+        assert digests == DEFAULT_RECORD_DIGESTS, threads
 
 
 def test_exit_code_unwritable_output():
@@ -573,11 +629,12 @@ def test_verify_json_output(capsys):
     }
 
 
-def _fresh_python(code, *args):
+def _fresh_python(code, *args, **environ):
     """stdout lines of `python -c code args` in a fresh interpreter that
-    imports this checkout's pacslab."""
+    imports this checkout's pacslab, with ``environ`` added to its
+    environment."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
@@ -696,6 +753,14 @@ def _records_physical(text: str, fmt: str) -> bool:
 # complex seeds with a negative real part: values that start with '-'
 @example(["--scenario", "dc-pm", "--format", "csv", "--alpha", "-0.8+0.2i"], None)
 @example(["--scenario", "jc-curve", "--format", "json", "--alpha", "-1.5-0.5i"], None)
+# m orders out of reach: above the Laguerre cap under a forced dim_b, and
+# photon-added targets that overflow
+@example(["--scenario", "dc-pm", "--format", "csv", "--r", "1", "--dim-b", "700",
+          "--m-list", "600"], None)
+@example(["--scenario", "jc-curve", "--format", "csv", "--m-list", "400", "--dim-a", "500",
+          "--beta-t", "1"], None)
+@example(["--scenario", "dc-ideal-check", "--format", "csv", "--r", "1", "--dim-b", "450",
+          "--m-list", "400"], None)
 def test_cli_total(args, config):
     fmt = args[args.index("--format") + 1]
     with tempfile.TemporaryDirectory() as td:

@@ -266,6 +266,28 @@ def test_vdot_rows_equals_per_row_vdot_bitwise():
     assert _vdot_rows_mismatches() == []
 
 
+def test_vdot_adds_its_rows_exactly():
+    # one body for every shape: a grid, past OpenBLAS's 10,000-entry
+    # threading cut too, is the fsum of its rows' np.vdot, real and
+    # imaginary parts apart; a 1-d array, a strided column too, is np.vdot
+    rng = np.random.default_rng(12)
+    for shape in ((5, 3), (160, 90)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows = [np.vdot(x, y) for x, y in zip(a, b)]
+        got = fock.vdot(a, b)
+        assert got.real.hex() == math.fsum(z.real for z in rows).hex(), shape
+        assert got.imag.hex() == math.fsum(z.imag for z in rows).hex(), shape
+        x, y = fock.TwoModeState(a), fock.TwoModeState(b)
+        norm_a = math.fsum(np.vdot(row, row).real for row in a)
+        norm_b = math.fsum(np.vdot(row, row).real for row in b)
+        assert x.norm_sq().hex() == norm_a.hex(), shape
+        assert fock.fidelity(x, y).hex() == (abs(got) ** 2 / (norm_a * norm_b)).hex(), shape
+        for one_a, one_b in ((a[0], b[0]), (a[:, 1], b[:, 2]), (a.ravel(), b.ravel())):
+            one = np.complex128(fock.vdot(one_a, one_b))
+            assert one.tobytes() == np.vdot(one_a, one_b).tobytes(), shape
+
+
 def test_vdot_rows_equals_per_row_vdot_bitwise_on_other_blas_kernels():
     # a single-threaded, generic-kernel OpenBLAS: the rows still sum as
     # np.vdot sums them there

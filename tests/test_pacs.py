@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pacslab import fock
-from pacslab.errors import TruncationError
-from pacslab.pacs import PacsSpec, pacs_norm_sq, pacs_overlap, pacs_state
+from pacslab import fock, pacs
+from pacslab.errors import NumericalFailureError, TruncationError
+from pacslab.pacs import PacsSpec, pacs_kets, pacs_norm_sq, pacs_overlap, pacs_state
 
 
 def test_zero_order_reduces_to_coherent():
@@ -88,3 +89,46 @@ def test_spacs_sub_poissonian():
     st = pacs_state(PacsSpec(0.8, 1), 48, normalized=True)
     mean, var = fock.number_moments(st)
     assert var < mean
+
+
+def test_kets_that_leave_the_double_range_raise():
+    # a+^m overflows the amplitudes (m = 400) or only their squared norm
+    # (m = 200): one NumericalFailureError naming alpha, m and dim, with no
+    # numpy warning, from pacs_state in both conventions and from pacs_kets
+    # at the first order that leaves the range
+    for alpha, m, dim in [(0.8, 400, 500), (0.8, 200, 300), (0.5 + 0.2j, 200, 300)]:
+        norm = _plain(alpha, m, dim)[1]
+        assert not math.isfinite(norm)
+        text = f"pacs(alpha={alpha}, m={m}) at dim={dim} leaves the double range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for normalized in (False, True):
+                with pytest.raises(NumericalFailureError) as exc:
+                    pacs_state(PacsSpec(alpha, m), dim, normalized=normalized)
+                assert str(exc.value) == f"{text} (squared norm {norm})"
+    first = next(m for m in range(1, 300) if not math.isfinite(_plain(0.8, m, 300)[1]))
+    with pytest.raises(NumericalFailureError, match=rf"^pacs\(alpha=0.8, m={first}\) at dim=300 "):
+        pacs_kets(0.8, 299, 300)
+    with pytest.raises(NumericalFailureError, match=rf"m={first}\)"):
+        pacs_state(PacsSpec(0.8, first), 300)
+
+
+def _plain(alpha, m, dim):
+    """a+^m |alpha> at dim by the bare creation chain, and its squared norm,
+    with overflow left to numpy."""
+    amp = fock.coherent_state(alpha, dim, tail_tol=1.0).amp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m):
+            amp = fock.create(amp)
+        return amp, np.vdot(amp, amp).real
+
+
+def test_kets_near_the_double_range_keep_their_bits():
+    # below the bound every order skips the range check; past it, a ket whose
+    # squared norm stays finite is still the bare chain, bit for bit
+    for alpha, m, dim in [(0.8, 5, 64), (1.5, 100, 1000), (0.8, 150, 200), (0.8, 160, 300)]:
+        assert ((m + 1) * math.log(dim) < pacs._LOG_SAFE) == (m <= 100)
+        amp, norm = _plain(alpha, m, dim)
+        assert math.isfinite(norm)
+        assert pacs_state(PacsSpec(alpha, m), dim).amp.tobytes() == amp.tobytes()
+        assert pacs_kets(alpha, m, dim)[-1].tobytes() == amp.tobytes()
