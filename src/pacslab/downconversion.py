@@ -159,6 +159,34 @@ def _pair_chains(n_chains: int, dim_a: int, dim_b: int, scale: float):
     return chain, k, k < cell_len, hop
 
 
+def _chebyshev_coefficients(r: float, dim_a: int, dim_b: int, tol: float):
+    """Spectral bound 2 r sqrt(dim_a dim_b) of the pair generator, the
+    cut-off thresh = max(5e-17, tol 1e-2), and the real Chebyshev
+    coefficients of exp(-i bound x) on [-1, 1]: (2 - [k = 0]) J_k(bound)
+    times the real or imaginary factor of (-i)^k, up to the last k with
+    |J_k(bound)| > thresh (at least 2)."""
+    bound = 2.0 * r * math.sqrt(dim_a * dim_b)
+    k_hi = int(bound + 40 + 15 * bound ** (1.0 / 3.0))
+    bes = np.array(bessel_j_values(k_hi, bound))
+    thresh = max(5e-17, tol * 1e-2)
+    keep = np.nonzero(np.abs(bes) > thresh)[0]
+    k_last = max(2, int(keep[-1])) if keep.size else 2
+    # (-i)^k is 1, -i, -1, i: the real factor for even k, the imaginary one
+    # for odd k
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(k_last + 1) % 4]
+    coeff = sign * bes[: k_last + 1]
+    coeff[1:] *= 2.0
+    return bound, thresh, coeff
+
+
+def _aligned_zeros(n: int, lead: int = 0) -> np.ndarray:
+    """n zeroed doubles whose element ``lead`` starts on a 64-byte boundary
+    (numpy's allocator only promises 16 bytes)."""
+    buf = np.zeros(n + 16)
+    start = (-(buf.ctypes.data // 8) - lead) % 8
+    return buf[start : start + n]
+
+
 def _chebyshev_chains(hop: np.ndarray, start: np.ndarray, coeff: np.ndarray):
     """sum_k coeff[k] T_k(H) e_0 for the real tridiagonal chains H.
 
@@ -168,28 +196,39 @@ def _chebyshev_chains(hop: np.ndarray, start: np.ndarray, coeff: np.ndarray):
     apart.  e_0 is the unit vector at every chain start (``start``, one flag
     per even cell).  Returns the even-k sum on the even cells and the odd-k
     sum on the odd cells.
+
+    Every array the loop writes is full length and starts on a 64-byte
+    boundary, so no store straddles a cache line; a neighbour one cell off
+    is read through a view into a buffer with a zero at the far end.
     """
-    t_even = start.astype(np.float64)
-    t_odd = hop[0::2] * t_even  # a chain start has no hop to its left
-    y_even = coeff[0] * t_even
-    y_odd = coeff[1] * t_odd
-    # odd cell j links even cells j (hop_even[j]) and j + 1 (hop_odd[j]);
-    # even cell j links odd cells j (hop_even[j]) and j - 1 (hop_odd[j - 1])
-    hop_even, hop_odd = 2.0 * hop[0::2], 2.0 * hop[1::2][:-1]
-    head, tail = np.s_[:-1], np.s_[1:]
-    scratch = np.empty_like(t_even)
+    n = start.size
+    # the even cells end in a 0 (odd cell j reads even cell j + 1), the odd
+    # cells start after one (even cell j reads odd cell j - 1)
+    e_buf, o_buf = _aligned_zeros(n + 1), _aligned_zeros(n + 1, lead=1)
+    t_even, t_odd = e_buf[:n], o_buf[1:]
+    hop_even, hop_next, hop_prev, y_even, y_odd, scratch = (_aligned_zeros(n) for _ in range(6))
+    t_even[:] = start
+    np.multiply(hop[0::2], t_even, t_odd)  # a chain start has no hop to its left
+    np.multiply(coeff[0], t_even, y_even)
+    np.multiply(coeff[1], t_odd, y_odd)
+    # odd cell j links even cells j (hop_even[j]) and j + 1 (hop_next[j]);
+    # even cell j links odd cells j (hop_even[j]) and j - 1 (hop_prev[j])
+    np.multiply(2.0, hop[0::2], hop_even)
+    np.multiply(2.0, hop[1:-1:2], hop_next[:-1])
+    hop_prev[1:] = hop_next[:-1]
+    steps = (
+        (t_even, t_odd, o_buf[:-1], hop_prev, y_even),
+        (t_odd, t_even, e_buf[1:], hop_next, y_odd),
+    )
     for k in range(2, len(coeff)):
-        if k % 2:
-            new, src, acc, lo, hi = t_odd, t_even, y_odd, head, tail
-        else:
-            new, src, acc, lo, hi = t_even, t_odd, y_even, tail, head
+        new, src, shifted, hop_shifted, acc = steps[k % 2]
         # new <- 2 H src - new, i.e. T_k from T_{k-1} and T_{k-2}
-        np.multiply(hop_even, src, out=scratch)
-        np.subtract(scratch, new, out=new)
-        np.multiply(hop_odd, src[hi], out=scratch[lo])
-        new[lo] += scratch[lo]
-        np.multiply(coeff[k], new, out=scratch)
-        acc += scratch
+        np.multiply(hop_even, src, scratch)
+        np.subtract(scratch, new, new)
+        np.multiply(hop_shifted, shifted, scratch)
+        np.add(new, scratch, new)
+        np.multiply(coeff[k], new, scratch)
+        np.add(acc, scratch, acc)
     return y_even, y_odd
 
 
@@ -212,22 +251,12 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
     max(5e-17, tol 1e-2) is also the cut-off on the Bessel coefficients.
     The kept cells come out exactly as if every chain were propagated.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     seed = coherent_state(p.alpha, p.dim_a)
     if p.r == 0.0:
         return tensor_product(seed, fock_state(0, p.dim_b))
-    bound = 2.0 * p.r * math.sqrt(p.dim_a * p.dim_b)
-    k_hi = int(bound + 40 + 15 * bound ** (1.0 / 3.0))
-    bes = np.array(bessel_j_values(k_hi, bound))
-    thresh = max(5e-17, tol * 1e-2)
-    keep = np.nonzero(np.abs(bes) > thresh)[0]
-    k_last = max(2, int(keep[-1])) if keep.size else 2
-    # (-i)^k is 1, -i, -1, i: the real factor for even k, the imaginary one
-    # for odd k
-    sign = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(k_last + 1) % 4]
-    coeff = sign * bes[: k_last + 1]
-    coeff[1:] *= 2.0
+    bound, thresh, coeff = _chebyshev_coefficients(p.r, p.dim_a, p.dim_b, tol)
     # seed weight of chains d..dim_a-1 is tail[dim_a-1-d]; tail never falls
     tail = np.cumsum(np.abs(seed.amp[::-1]) ** 2)
     n_chains = p.dim_a - int(np.count_nonzero(tail <= thresh**2))
