@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chains
 from .errors import TruncationError
 from .fock import (
     FockVector,
@@ -29,7 +30,7 @@ from .fock import (
     vdot_rows,
 )
 from .pacs import PacsSpec, pacs_overlap, pacs_state
-from .specialfn import LAGUERRE_M_MAX, bessel_j_values, laguerre_values
+from .specialfn import LAGUERRE_M_MAX, laguerre_values
 
 DEFAULT_DIM_A = 48
 DEFAULT_DIM_B = 24
@@ -69,17 +70,18 @@ class DcParams:
         return self.alpha / math.cosh(self.r)
 
 
-def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoModeState:
+def dc_evolve_closed(p: DcParams) -> TwoModeState:
     """Closed-form evolved state of |alpha>_a |0>_b.
 
     Column n of the grid is
         e^{-|alpha|^2 tanh^2 r / 2} / cosh r
         * (-i e^{i phi} tanh r)^n / sqrt(n!) * adag^n |alpha/cosh r>,
     built by a stable column recurrence (no explicit factorials).  The total
-    norm is checked against 1 rather than renormalized, so a transcription
-    error or an undersized truncation surfaces as TruncationError instead of
-    being masked.  The headroom and seed-tail checks run before the grid is
-    allocated.
+    norm is checked against 1 rather than renormalized (its deficit, like the
+    seed's tail beyond the top column, must stay within DEFAULT_NORM_TOL), so
+    a transcription error or an undersized truncation surfaces as
+    TruncationError instead of being masked.  The headroom and seed-tail
+    checks run before the grid is allocated.
 
     Each column is computed in place as a row of a C-order block of
     CLOSED_BLOCK columns, by the two products of (z / sqrt(n)) create(col):
@@ -102,7 +104,7 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
     # range fails first; its tail at dim_a is below the one checked next
     seed = coherent_state(at, p.dim_a, tail_tol=1.0).amp
     a_tail = coherent_tail_mass(seed, at, headroom)
-    if a_tail > norm_tol:
+    if a_tail > DEFAULT_NORM_TOL:
         raise TruncationError(
             f"dim_a={p.dim_a} too small for top column of dim_b={p.dim_b}", a_tail
         )
@@ -132,104 +134,11 @@ def dc_evolve_closed(p: DcParams, norm_tol: float = DEFAULT_NORM_TOL) -> TwoMode
         amp[:, n0:n1] = done.T
         norms[n0:n1] = vdot_rows(done, done).real
     deficit = abs(1.0 - math.fsum(norms.tolist()))
-    if deficit > norm_tol:
+    if deficit > DEFAULT_NORM_TOL:
         raise TruncationError(
             f"dims ({p.dim_a}, {p.dim_b}) leave closed-form norm short of 1", deficit
         )
     return TwoModeState(amp)
-
-
-def _pair_chains(n_chains: int, dim_a: int, dim_b: int, scale: float):
-    """Flat layout of the cells |d+k>_a |k>_b, 0 <= d < n_chains, chain
-    after chain.
-
-    Chain d holds min(dim_a - d, dim_b) cells, padded to even length so that
-    cell k of every chain sits at a flat index of the parity of k.  Returns
-    per flat cell its chain d, its place k in the chain, whether it is a
-    grid cell rather than padding, and the hop scale * sqrt((d+k+1)(k+1))
-    to the next cell of its chain (zero at the end of a chain).
-    """
-    length = np.minimum(dim_a - np.arange(n_chains), dim_b)
-    padded = length + (length & 1)
-    chain = np.repeat(np.arange(n_chains), padded)
-    k = np.arange(padded.sum()) - np.repeat(np.cumsum(padded) - padded, padded)
-    cell_len = length[chain]
-    hop = scale * np.sqrt((chain + k + 1.0) * (k + 1.0))
-    hop[k + 1 >= cell_len] = 0.0
-    return chain, k, k < cell_len, hop
-
-
-def _chebyshev_coefficients(r: float, dim_a: int, dim_b: int, tol: float):
-    """Spectral bound 2 r sqrt(dim_a dim_b) of the pair generator, the
-    cut-off thresh = max(5e-17, tol 1e-2), and the real Chebyshev
-    coefficients of exp(-i bound x) on [-1, 1]: (2 - [k = 0]) J_k(bound)
-    times the real or imaginary factor of (-i)^k, up to the last k with
-    |J_k(bound)| > thresh (at least 2)."""
-    bound = 2.0 * r * math.sqrt(dim_a * dim_b)
-    k_hi = int(bound + 40 + 15 * bound ** (1.0 / 3.0))
-    bes = np.array(bessel_j_values(k_hi, bound))
-    thresh = max(5e-17, tol * 1e-2)
-    keep = np.nonzero(np.abs(bes) > thresh)[0]
-    k_last = max(2, int(keep[-1])) if keep.size else 2
-    # (-i)^k is 1, -i, -1, i: the real factor for even k, the imaginary one
-    # for odd k
-    sign = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(k_last + 1) % 4]
-    coeff = sign * bes[: k_last + 1]
-    coeff[1:] *= 2.0
-    return bound, thresh, coeff
-
-
-def _aligned_zeros(n: int, lead: int = 0) -> np.ndarray:
-    """n zeroed doubles whose element ``lead`` starts on a 64-byte boundary
-    (numpy's allocator only promises 16 bytes)."""
-    buf = np.zeros(n + 16)
-    start = (-(buf.ctypes.data // 8) - lead) % 8
-    return buf[start : start + n]
-
-
-def _chebyshev_chains(hop: np.ndarray, start: np.ndarray, coeff: np.ndarray):
-    """sum_k coeff[k] T_k(H) e_0 for the real tridiagonal chains H.
-
-    H has a zero diagonal and links flat cell i to i + 1 by hop[i], so it
-    only links even cells to odd ones: T_k(H) e_0 lives on the even cells
-    for even k and on the odd cells for odd k, and each half is stored
-    apart.  e_0 is the unit vector at every chain start (``start``, one flag
-    per even cell).  Returns the even-k sum on the even cells and the odd-k
-    sum on the odd cells.
-
-    Every array the loop writes is full length and starts on a 64-byte
-    boundary, so no store straddles a cache line; a neighbour one cell off
-    is read through a view into a buffer with a zero at the far end.
-    """
-    n = start.size
-    # the even cells end in a 0 (odd cell j reads even cell j + 1), the odd
-    # cells start after one (even cell j reads odd cell j - 1)
-    e_buf, o_buf = _aligned_zeros(n + 1), _aligned_zeros(n + 1, lead=1)
-    t_even, t_odd = e_buf[:n], o_buf[1:]
-    hop_even, hop_next, hop_prev, y_even, y_odd, scratch = (_aligned_zeros(n) for _ in range(6))
-    t_even[:] = start
-    np.multiply(hop[0::2], t_even, t_odd)  # a chain start has no hop to its left
-    np.multiply(coeff[0], t_even, y_even)
-    np.multiply(coeff[1], t_odd, y_odd)
-    # odd cell j links even cells j (hop_even[j]) and j + 1 (hop_next[j]);
-    # even cell j links odd cells j (hop_even[j]) and j - 1 (hop_prev[j])
-    np.multiply(2.0, hop[0::2], hop_even)
-    np.multiply(2.0, hop[1:-1:2], hop_next[:-1])
-    hop_prev[1:] = hop_next[:-1]
-    steps = (
-        (t_even, t_odd, o_buf[:-1], hop_prev, y_even),
-        (t_odd, t_even, e_buf[1:], hop_next, y_odd),
-    )
-    for k in range(2, len(coeff)):
-        new, src, shifted, hop_shifted, acc = steps[k % 2]
-        # new <- 2 H src - new, i.e. T_k from T_{k-1} and T_{k-2}
-        np.multiply(hop_even, src, scratch)
-        np.subtract(scratch, new, new)
-        np.multiply(hop_shifted, shifted, scratch)
-        np.add(new, scratch, new)
-        np.multiply(coeff[k], new, scratch)
-        np.add(acc, scratch, acc)
-    return y_even, y_odd
 
 
 def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeState:
@@ -237,37 +146,35 @@ def dc_evolve_numeric(p: DcParams, tol: float = DEFAULT_EVOLVE_TOL) -> TwoModeSt
     -i r (e^{i phi} adag bdag + e^{-i phi} a b) applied to |alpha>_a |0>_b.
 
     The generator conserves n_a - n_b, so |d>_a |0>_b only reaches the
-    chain |d+k>_a |k>_b; gauging out the phase e^{i phi k} leaves a real
-    symmetric tridiagonal generator on each chain, applied in O(cells).
-    The exponential is expanded in Chebyshev polynomials with
-    Bessel-function coefficients over the spectral bound
-    2 r sqrt(dim_a dim_b); (-i)^k makes the even terms real and the odd
-    ones imaginary.  Phases enter exactly as in the closed form.
+    chain |d+k>_a |k>_b, of min(dim_a - d, dim_b) cells; gauging out the
+    phase e^{i phi k} leaves a real symmetric tridiagonal generator on each
+    chain, with hop r sqrt((d+k+1)(k+1)) from cell k to k + 1.  The chains
+    go through chains.propagate over the spectral bound 2 r sqrt(dim_a
+    dim_b), and phases enter exactly as in the closed form.
 
     Only the chains the seed populates are propagated: chain d starts from
     seed[d] times a unit vector, and the chain propagator is unitary, so
     the chains d >= D with sum_{n >= D} |seed[n]|^2 <= thresh^2 are left at
-    zero, which moves the state by at most thresh in 2-norm.  thresh =
-    max(5e-17, tol 1e-2) is also the cut-off on the Bessel coefficients.
-    The kept cells come out exactly as if every chain were propagated.
+    zero, which moves the state by at most thresh = chains.cutoff(tol) in
+    2-norm.  The kept cells come out exactly as if every chain were
+    propagated.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     seed = coherent_state(p.alpha, p.dim_a)
     if p.r == 0.0:
         return tensor_product(seed, fock_state(0, p.dim_b))
-    bound, thresh, coeff = _chebyshev_coefficients(p.r, p.dim_a, p.dim_b, tol)
+    bound = 2.0 * p.r * math.sqrt(p.dim_a * p.dim_b)
     # seed weight of chains d..dim_a-1 is tail[dim_a-1-d]; tail never falls
     tail = np.cumsum(np.abs(seed.amp[::-1]) ** 2)
-    n_chains = p.dim_a - int(np.count_nonzero(tail <= thresh**2))
-    chain, k, live, hop = _pair_chains(n_chains, p.dim_a, p.dim_b, p.r / bound)
-    y_even, y_odd = _chebyshev_chains(hop, k[0::2] == 0, coeff)
-    y = np.empty(k.size, dtype=np.complex128)
-    y[0::2] = y_even
-    y[1::2] = 1j * y_odd
-    chain, k = chain[live], k[live]
+    n_chains = p.dim_a - int(np.count_nonzero(tail <= chains.cutoff(tol) ** 2))
+    lengths = np.minimum(p.dim_a - np.arange(n_chains), p.dim_b)
+    chain = np.repeat(np.arange(n_chains), lengths)
+    k = np.arange(chain.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    hops = (p.r / bound) * np.sqrt((chain + k + 1.0) * (k + 1.0))
+    y = chains.propagate(lengths, hops, bound, tol)
     amp = np.zeros((p.dim_a, p.dim_b), dtype=np.complex128)
-    amp[chain + k, k] = seed.amp[chain] * np.exp(1j * p.phi * k) * y[live]
+    amp[chain + k, k] = seed.amp[chain] * np.exp(1j * p.phi * k) * y
     return TwoModeState(amp)
 
 
