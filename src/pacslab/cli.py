@@ -50,8 +50,8 @@ class RunConfig:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
-    def grid_values(self):
-        return np.linspace(*self.grid)
+    def grid_values(self) -> list:
+        return np.linspace(*self.grid).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +260,8 @@ def format_number(x) -> str:
     """12 significant digits, scientific below 1e-4; pinned for determinism."""
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     f = float(x)
     if f == 0.0:
         return "0"
@@ -273,7 +273,7 @@ def format_number(x) -> str:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     return format_number(value)
 
@@ -281,10 +281,7 @@ def _cell(value) -> str:
 def check_finite(columns, rows) -> None:
     """Raise NumericalFailureError naming each column that holds NaN or inf."""
     counts = {
-        c: sum(
-            isinstance(v, (float, np.floating)) and not math.isfinite(v)
-            for v in (row.get(c) for row in rows)
-        )
+        c: sum(isinstance(v, float) and not math.isfinite(v) for v in (row.get(c) for row in rows))
         for c in columns
     }
     bad = [f"{c} ({n} of {len(rows)} rows)" for c, n in counts.items() if n]
@@ -302,14 +299,9 @@ def write_csv(columns, rows) -> str:
 def write_json(columns, rows, fingerprint: str) -> str:
     import json  # a csv run never loads it
 
-    payload = []
-    for row in rows:
-        obj = {}
-        for c in columns:
-            v = row.get(c)
-            obj[c] = v.item() if isinstance(v, np.generic) else v
-        obj["config_fingerprint"] = fingerprint
-        payload.append(obj)
+    payload = [
+        {c: row.get(c) for c in columns} | {"config_fingerprint": fingerprint} for row in rows
+    ]
     return json.dumps(payload, indent=2) + "\n"
 
 

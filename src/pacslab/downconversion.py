@@ -8,6 +8,7 @@ the idler (b) mode in a number state leaves the signal (a) mode in a
 photon-added coherent state of rescaled amplitude alpha / cosh r.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .errors import TruncationError
 from .fock import (
     FockVector,
     TwoModeState,
+    coherent_amplitudes,
     coherent_state,
     coherent_tail_mass,
     complex_ladder,
@@ -59,6 +61,8 @@ class DcParams:
     dim_b: int = DEFAULT_DIM_B
 
     def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"seed amplitude alpha must be finite, got {self.alpha}")
         _check_r(self.r)
         if not math.isfinite(self.phi):
             raise ValueError(f"coupling phase phi must be finite, got {self.phi}")
@@ -102,7 +106,7 @@ def dc_evolve_closed(p: DcParams) -> TwoModeState:
     pref = math.exp(-abs(p.alpha) ** 2 * math.tanh(p.r) ** 2 / 2.0) / math.cosh(p.r)
     # the seed column before the grid is allocated, so an amplitude out of
     # range fails first; its tail at dim_a is below the one checked next
-    seed = coherent_state(at, p.dim_a, tail_tol=1.0).amp
+    seed = coherent_amplitudes(at, p.dim_a)
     a_tail = coherent_tail_mass(seed, at, headroom)
     if a_tail > DEFAULT_NORM_TOL:
         raise TruncationError(

@@ -86,8 +86,11 @@ class TwoModeState:
 
 
 def default_dim(alpha: complex) -> int:
-    """Truncation keeping the coherent tail below ~1e-14 for |alpha| <= 1.5."""
+    """Truncation keeping the coherent tail below ~1e-14 for |alpha| <= 1.5;
+    ValueError for a non-finite alpha."""
     a = abs(alpha)
+    if not a < math.inf:
+        raise ValueError(f"seed amplitude alpha must be finite, got {alpha}")
     return max(32, int(math.ceil(a * a + 8.0 * a + 16.0)))
 
 
@@ -210,9 +213,9 @@ COHERENT_STATES = 8
 
 @lru_cache(maxsize=COHERENT_STATES, typed=True)
 def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple) -> np.ndarray:
-    """The read-only amplitudes of coherent_state.  ``signs``, the signs of
-    alpha's parts, only keys the cache: 0.0 and -0.0 are equal keys whose
-    amplitudes differ in the sign of their zeros."""
+    """The amplitude recurrence of coherent_amplitudes.  ``signs``, the
+    signs of alpha's parts, only keys the cache: 0.0 and -0.0 are equal keys
+    whose amplitudes differ in the sign of their zeros."""
     amp = np.zeros(dim, dtype=np.complex128)
     amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(1, dim):
@@ -221,17 +224,15 @@ def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple) -> np.ndarray:
     return amp
 
 
-def coherent_state(
-    alpha: complex, dim: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockVector:
-    """Coherent state amplitudes e^{-|a|^2/2} a^n / sqrt(n!), read-only.
+def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+    """Coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!), n < dim, read-only,
+    with no truncation check: for a caller that checks the tail at its own
+    cut (coherent_tail_mass).
 
     Raises NumericalFailureError when e^{-|a|^2/2} underflows the normal
     double range (|a| above about 37.6): there it keeps too few digits for
     the norm and reaches 0 at |a| of about 38.6.  This is checked first,
-    then dim >= 1 (ValueError); TruncationError when the tail of the built
-    amplitudes beyond dim (coherent_tail_mass) exceeds ``tail_tol``, which
-    is taken only for tail_tol < 1, as the tail is at most 1.
+    then dim >= 1 (ValueError).
 
     The amplitudes come from one recurrence per (alpha, dim), kept in a
     bounded cache (COHERENT_STATES entries) and shared, read-only, by every
@@ -246,13 +247,17 @@ def coherent_state(
     if dim < 1:
         raise ValueError("dim must be >= 1")
     signs = (math.copysign(1.0, alpha.real), math.copysign(1.0, alpha.imag))
-    amp = _coherent_amplitudes(alpha, dim, signs)
-    if tail_tol < 1.0:
-        tail = coherent_tail_mass(amp, alpha, dim)
-        if tail > tail_tol:
-            raise TruncationError(
-                f"dim={dim} too small for coherent amplitude {alpha}", tail
-            )
+    return _coherent_amplitudes(alpha, dim, signs)
+
+
+def coherent_state(alpha: complex, dim: int) -> FockVector:
+    """The coherent state |alpha> at dim: coherent_amplitudes, then
+    TruncationError when their tail beyond dim (coherent_tail_mass) exceeds
+    DEFAULT_TAIL_TOL."""
+    amp = coherent_amplitudes(alpha, dim)
+    tail = coherent_tail_mass(amp, alpha, dim)
+    if tail > DEFAULT_TAIL_TOL:
+        raise TruncationError(f"dim={dim} too small for coherent amplitude {alpha}", tail)
     return FockVector(amp)
 
 

@@ -15,7 +15,7 @@ from .errors import NumericalFailureError, TruncationError
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockVector,
-    coherent_state,
+    coherent_amplitudes,
     coherent_tail_mass,
     create,
     inner_product,
@@ -42,13 +42,13 @@ class PacsSpec:
 
 def _checked_coherent(spec: PacsSpec, dim: int):
     """The coherent amplitudes under pacs_state, after its checks in their
-    order: room for m additions, then the coherent state's own range check,
-    then its tail at dim - m, since each creation application shifts weight
-    one level up."""
+    order: room for m additions, then the range and dim checks of
+    coherent_amplitudes, then the tail at dim - m, since each creation
+    application shifts weight one level up."""
     if dim <= spec.m:
         # every amplitude would be lifted past the truncation
         raise TruncationError(f"dim={dim} leaves no room for m={spec.m} additions", 1.0)
-    amp = coherent_state(spec.alpha, dim, tail_tol=1.0).amp
+    amp = coherent_amplitudes(spec.alpha, dim)
     tail = coherent_tail_mass(amp, spec.alpha, dim - spec.m)
     if tail > DEFAULT_TAIL_TOL:
         raise TruncationError(

@@ -216,13 +216,29 @@ def test_a_forced_dim_b_sizes_dim_a(tmp_path, capsys):
     )
 
 
-def test_beta_time_pair_builds_dimensionless_grid():
+def test_beta_time_pair_builds_dimensionless_grid(capsys):
     cfg = cli.parse_config(
         ["--scenario", "jc-curve", "--beta", "6283185.3", "--time", "0:3e-05:31"]
     )
     assert cfg.grid[0] == 0.0
     assert cfg.grid[1] == pytest.approx(6283185.3 * 3e-05)
     assert cfg.grid[2] == 31
+    # a pair next to --beta-t, half a pair and a malformed half exit 2 and
+    # write no records
+    cases = [
+        (["--beta-t", "0:1:3", "--beta", "2", "--time", "0:1:3"],
+         "give either --beta-t or the --beta/--time pair, not both"),
+        (["--beta", "2"], "--beta and --time must be given together"),
+        (["--time", "0:1:3"], "--beta and --time must be given together"),
+        (["--beta", "fast", "--time", "0:1:3"], "malformed --beta/--time pair"),
+        (["--beta", "2", "--time", "0:1"], "malformed --beta/--time pair"),
+    ]
+    for args, message in cases:
+        assert cli.main(["--scenario", "jc-curve", *args]) == 2, args
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()) == (
+            "", ["pacslab: invalid configuration:", f"  {message}"]
+        ), args
 
 
 def test_format_number_rules():
@@ -570,11 +586,34 @@ def test_default_records_hold_across_blas_thread_counts(tmp_path):
         assert digests == DEFAULT_RECORD_DIGESTS, threads
 
 
-def test_exit_code_unwritable_output():
+def test_record_cells_are_plain_python_values():
+    # every scenario's rows hold exact builtins, so the writers need no numpy
+    # case: np.float64 subclasses float, np.bool_ and np.int64 fail here
+    plain = (type(None), bool, int, float, str)
+    runs = [["--scenario", scenario] for scenario in cli.SCENARIOS]
+    runs.append(["--scenario", "jc-curve", "--beta", "6283185.3", "--time", "0:3e-05:31"])
+    for args in runs:
+        cfg = cli.parse_config(args)
+        rows, _ = cli._RUNNERS[cfg.scenario](cfg)
+        odd = {(c, type(v).__name__) for row in rows for c, v in row.items() if type(v) not in plain}
+        assert odd == set(), args
+
+
+def test_exit_code_unwritable_output(capsys, monkeypatch):
     rc = cli.main(
         ["--scenario", "dc-pm", "--r", "0.5", "--m-list", "0", "--out", "/nonexistent/dir/x.csv"]
     )
     assert rc == 4
+    capsys.readouterr()
+
+    # records streamed to a stdout that cannot be written also exit 4
+    class Closed:
+        def write(self, text):
+            raise OSError("stdout is closed")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["--scenario", "dc-pm", "--r", "0.5", "--m-list", "0"]) == 4
+    assert capsys.readouterr().err == "pacslab: i/o error: stdout is closed\n"
 
 
 VERIFY_CELLS = [

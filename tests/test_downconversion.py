@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from pacslab import downconversion as dc
-from pacslab import chains, checks, fock, specialfn
+from pacslab import chains, checks, fock, jaynes, specialfn
 from pacslab.errors import EmptyBranchError, NumericalFailureError, TruncationError
 from pacslab.pacs import PacsSpec, pacs_state
 from pacslab.specialfn import LAGUERRE_M_MAX, laguerre
@@ -362,6 +362,24 @@ def test_params_validation():
     for r in (0.0, 1.0):
         with pytest.raises(ValueError, match="m_max must be nonnegative"):
             dc.p_m_cumulative(0.8, r, -1)
+    for dims in ((0, 24), (48, 0)):
+        with pytest.raises(ValueError, match="^truncations must be >= 1$"):
+            dc.DcParams(0.8, 1.0, 0.0, *dims)
+    # a NaN alpha passed every check of the pair routes, which returned a
+    # grid of NaN, and default_dim raised int()'s "cannot convert float NaN"
+    # (OverflowError for an infinite alpha).  Each route that sizes a state
+    # or builds a pair names alpha before any work
+    takes_alpha = (
+        lambda a: dc.DcParams(a, 0.5, 0.0, 40, 20),
+        lambda a: fock.default_dim(a),
+        lambda a: dc.spacs_overlap_numeric(a, 0.5),
+        lambda a: jaynes.jc_overlap_curve(a, [0.5], [1]),
+    )
+    for alpha in (math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, -math.inf)):
+        text = f"seed amplitude alpha must be finite, got {alpha}"
+        for call in takes_alpha:
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call(alpha)
 
 
 def _closed_reference(p, norm_tol=dc.DEFAULT_NORM_TOL):

@@ -32,6 +32,25 @@ def test_annihilation_matrix_entries():
 def test_annihilation_rejects_zero_dim():
     with pytest.raises(ValueError):
         fock.annihilation_matrix(0)
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        fock.number_matrix(0)
+
+
+def test_containers_reject_wrong_shapes():
+    cases = [
+        (fock.FockVector, np.zeros((2, 2)), "FockVector needs a 1-d amplitude array, dim >= 1"),
+        (fock.FockVector, np.zeros(0), "FockVector needs a 1-d amplitude array, dim >= 1"),
+        (fock.OperatorMatrix, np.zeros((2, 3)), "OperatorMatrix needs a square array, dim >= 1"),
+        (fock.OperatorMatrix, np.zeros(4), "OperatorMatrix needs a square array, dim >= 1"),
+        (fock.TwoModeState, np.zeros(4), "TwoModeState needs a 2-d amplitude grid"),
+        (fock.TwoModeState, np.zeros((3, 0)), "TwoModeState needs a 2-d amplitude grid"),
+    ]
+    for container, amp, text in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            container(amp)
+    for n in (3, -1):
+        with pytest.raises(ValueError, match=f"^fock index {n} outside dim 3$"):
+            fock.fock_state(n, 3)
 
 
 def test_truncated_commutator_structure():
@@ -99,7 +118,7 @@ def test_cached_coherent_amplitudes_equal_the_loop_bitwise():
     for alpha in alphas:
         for dim in (1, 2, 33, 64):
             for _ in range(2):
-                amp = fock.coherent_state(alpha, dim, tail_tol=1.0).amp
+                amp = fock.coherent_amplitudes(alpha, dim)
                 assert amp.tobytes() == _coherent_reference(alpha, dim).tobytes(), (alpha, dim)
                 assert not amp.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -112,18 +131,22 @@ def test_cached_coherent_amplitudes_equal_the_loop_bitwise():
 
 
 def test_cached_coherent_amplitudes_keep_every_check():
-    # a cached entry built with tail_tol=1 still fails the default tail, with
-    # the tail of the reference amplitudes, and the checks keep their order
+    # an entry cached by the unchecked coherent_amplitudes still fails
+    # coherent_state's tail check, with the tail of the reference amplitudes;
+    # both keep the order underflow, dim, then (coherent_state only) tail
     fock._coherent_amplitudes.cache_clear()
-    fock.coherent_state(2.0, 6, tail_tol=1.0)
+    unchecked = fock.coherent_amplitudes(2.0, 6)
+    assert unchecked.tobytes() == _coherent_reference(2.0, 6).tobytes()
     text = r"^dim=6 too small for coherent amplitude 2.0 \(tail mass 2.149e-01\)$"
     with pytest.raises(TruncationError, match=text) as exc:
         fock.coherent_state(2.0, 6)
     assert exc.value.tail_mass == fock.coherent_tail_mass(_coherent_reference(2.0, 6), 2.0, 6)
-    with pytest.raises(NumericalFailureError, match="underflows"):
-        fock.coherent_state(40.0, 0)
-    with pytest.raises(ValueError, match="^dim must be >= 1$"):
-        fock.coherent_state(0.8, 0)
+    assert fock.coherent_state(2.0, 40).amp is fock.coherent_amplitudes(2.0, 40)
+    for build in (fock.coherent_amplitudes, fock.coherent_state):
+        with pytest.raises(NumericalFailureError, match="underflows"):
+            build(40.0, 0)
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            build(0.8, 0)
     start = time.perf_counter()
     assert np.isnan(fock.coherent_state(math.nan, 32).amp).all()
     assert np.isnan(fock.coherent_state(math.nan, 32).amp).all()
@@ -157,7 +180,7 @@ def test_operator_matrix_examples():
 def test_ladder_algebra_interior():
     dim = 24
     a, c = fock.annihilation_matrix(dim).entries, fock.creation_matrix(dim).entries
-    st = fock.coherent_state(0.9, dim, tail_tol=1e-6)
+    st = fock.FockVector(fock.coherent_amplitudes(0.9, dim))
     left = a @ (c @ st.amp)
     right = c @ (a @ st.amp)
     diff = left - right - st.amp
@@ -475,7 +498,7 @@ def test_expm_apply_meets_independent_oracles(kind):
         diag = _ORACLE_GENERATORS[kind](rng, dim)
         m = fock.OperatorMatrix(np.diag(diag))
         alpha = rng.uniform(0.3, 1.5) * np.exp(1j * rng.uniform(0, 6.3))
-        coherent = fock.coherent_state(alpha, dim, tail_tol=1e-3).amp
+        coherent = fock.coherent_amplitudes(alpha, dim)
         random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         for st in (coherent, random):
             oracles = [expm_multiply(m.entries, st), np.exp(diag) * st]
@@ -491,7 +514,7 @@ def test_expm_apply_rejects_generators_it_cannot_finish():
     # and is reported first; any other nonzero entry off the diagonal, large
     # or tiny, is refused before any product, and psi is left as it was
     dim = 8
-    st = fock.coherent_state(0.8, dim, tail_tol=1e-6)
+    st = fock.FockVector(fock.coherent_amplitudes(0.8, dim))
     before = st.amp.tobytes()
     number = fock.number_matrix(dim).entries
     calls = []
@@ -525,6 +548,12 @@ def test_expm_apply_rejects_generators_it_cannot_finish():
             fock.expm_apply(fock.OperatorMatrix(gen), st)
         assert time.perf_counter() - start < 1.0, gen
         assert st.amp.tobytes() == before, gen
+    # mismatched dims come first, then the tolerance
+    with pytest.raises(DimensionMismatchError, match=f"^dims differ: {dim + 1} vs {dim}$"):
+        fock.expm_apply(fock.number_matrix(dim + 1), st, tol=0.0)
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            fock.expm_apply(fock.OperatorMatrix(-0.7j * number), st, tol=tol)
 
 
 def _expm_cases():
@@ -634,7 +663,7 @@ def test_expm_apply_takes_the_dense_product_only_off_the_diagonal():
         np.eye(dim, k=1),
         0.3 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
     ]
-    st = fock.coherent_state(0.8, dim, tail_tol=1e-6)
+    st = fock.FockVector(fock.coherent_amplitudes(0.8, dim))
     for gen in elementwise:
         m = fock.OperatorMatrix(gen)
         got = fock.expm_apply(m, st).amp
@@ -654,7 +683,7 @@ def test_expm_apply_rejects_a_result_that_overflows(gen):
 
 
 def test_tensor_and_project_roundtrip():
-    a = fock.coherent_state(0.8, 12, tail_tol=1e-6)
+    a = fock.FockVector(fock.coherent_amplitudes(0.8, 12))
     b = fock.fock_state(0, 6)
     joint = fock.tensor_product(a, b)
     vec, prob = fock.project_b(joint, 0)

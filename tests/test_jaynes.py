@@ -62,6 +62,9 @@ def test_series_single_term_is_first_order_state():
     lifted = fock.creation_matrix(coh.dim).entries @ coh.amp
     assert np.max(np.abs(st.field_e.amp - coh.amp)) == 0.0
     assert np.max(np.abs(st.field_g.amp - (-1j * 0.01) * lifted)) < 1e-18
+    for n_terms in (0, -1):
+        with pytest.raises(ValueError, match="^n_terms must be >= 1$"):
+            jc_evolve_series(p, n_terms)
 
 
 def test_series_zero_time_any_terms():
@@ -231,17 +234,17 @@ def test_overlap_curve_equals_per_point_evaluation(alpha, dim):
 def test_overlap_curve_builds_each_state_once(monkeypatch):
     calls = {"jaynes": 0, "pacs": 0}
 
-    def spy(name, module):
-        real = module.coherent_state
+    def spy(name, module, builder):
+        real = getattr(module, builder)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "coherent_state", counted)
+        monkeypatch.setattr(module, builder, counted)
 
-    spy("jaynes", jaynes)
-    spy("pacs", pacs)
+    spy("jaynes", jaynes, "coherent_state")
+    spy("pacs", pacs, "coherent_amplitudes")
     jc_overlap_curve(0.8, np.linspace(0.0, 5.0, 3 * CURVE_BLOCK), [1, 2])
     # one coherent state for the evolution, one per photon-added target
     assert calls == {"jaynes": 1, "pacs": 2}

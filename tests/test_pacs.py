@@ -13,6 +13,8 @@ def test_zero_order_reduces_to_coherent():
     st = pacs_state(PacsSpec(0.8, 0), 32)
     ref = fock.coherent_state(0.8, 32)
     assert np.max(np.abs(st.amp - ref.amp)) == 0.0
+    with pytest.raises(ValueError, match="^photon-addition order m must be nonnegative$"):
+        PacsSpec(0.8, -1)
 
 
 def test_vacuum_double_addition_is_two_photon_state():
@@ -116,7 +118,7 @@ def test_kets_that_leave_the_double_range_raise():
 def _plain(alpha, m, dim):
     """a+^m |alpha> at dim by the bare creation chain, and its squared norm,
     with overflow left to numpy."""
-    amp = fock.coherent_state(alpha, dim, tail_tol=1.0).amp
+    amp = fock.coherent_amplitudes(alpha, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(m):
             amp = fock.create(amp)
