@@ -5,6 +5,7 @@ values are treated as immutable after construction and every operation is a
 pure function of its inputs, so parameter sweeps can run concurrently.
 """
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -87,11 +88,20 @@ class TwoModeState:
 
 def default_dim(alpha: complex) -> int:
     """Truncation keeping the coherent tail below ~1e-14 for |alpha| <= 1.5;
-    ValueError for a non-finite alpha."""
-    a = abs(alpha)
-    if not a < math.inf:
+    ValueError for a non-finite alpha, NumericalFailureError when |alpha|^2
+    overflows (|alpha| above about 1.3e154)."""
+    if not cmath.isfinite(alpha):
         raise ValueError(f"seed amplitude alpha must be finite, got {alpha}")
-    return max(32, int(math.ceil(a * a + 8.0 * a + 16.0)))
+    try:
+        a = abs(alpha)
+    except OverflowError:  # finite parts whose modulus passes the double range
+        a = math.inf
+    size = a * a + 8.0 * a + 16.0
+    if size == math.inf:
+        raise NumericalFailureError(
+            f"default truncation for seed amplitude {alpha}: |alpha|^2 overflows the double range"
+        )
+    return max(32, int(math.ceil(size)))
 
 
 # sqrt(1), sqrt(2), ... for the largest dim asked for so far, and its complex
@@ -122,13 +132,14 @@ def complex_ladder(dim: int) -> np.ndarray:
     A factor with a zero imaginary part gives the same bits in either
     operand order, in a contiguous product and in an accumulate alike, so a
     recurrence over the real ladder factors may run as one
-    np.multiply.accumulate.  A recurrence with a complex factor stays
-    step by step, each step one product in its operand order with its own
-    output: numpy's SIMD complex multiply fuses multiply-adds, c*x and x*c
-    round differently there, and an accumulate, whose output overlaps its
-    input, runs a loop that does not fuse them.  That holds for the
-    z/sqrt(n) columns of downconversion.dc_evolve_closed and the
-    alpha/sqrt(n) coherent amplitudes.
+    np.multiply.accumulate.  A recurrence of contiguous array products
+    with a complex factor stays step by step, each step one product in its
+    operand order with its own output: numpy's SIMD complex multiply fuses
+    multiply-adds, c*x and x*c round differently there, and an accumulate,
+    whose output overlaps its input, runs a loop that does not fuse them.
+    That holds for the z/sqrt(n) columns of dc_evolve_closed.  A recurrence
+    of numpy scalar products, which do not fuse either, may run as one
+    accumulate, as the alpha/sqrt(n) coherent amplitudes do.
     """
     if not 0 < dim <= len(_SQRT_N_COMPLEX) + 1:
         ladder(dim)
@@ -158,12 +169,17 @@ def vdot(a: np.ndarray, b: np.ndarray) -> complex:
     axis, the rows' real and imaginary parts each added exactly by fsum.
 
     A 1-d array is one row and sums bit for bit as np.vdot sums it, strided
-    columns too.  A grid goes to BLAS a row at a time, since OpenBLAS splits
-    a zdotc over about 10,000 entries by its thread count.  fsum raises
-    OverflowError when finite rows overflow, ValueError on inf - inf.
+    columns too; its parts are returned as fsum returns one value, with
+    + 0.0, which turns -0.0 into 0.0 and passes NaN and inf.  A grid goes to
+    BLAS a row at a time, since OpenBLAS splits a zdotc over about 10,000
+    entries by its thread count.  fsum raises OverflowError when finite rows
+    overflow, ValueError on inf - inf.
     """
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dims differ: {a.shape} vs {b.shape}")
+    if a.ndim == 1:
+        row = complex(vdot_rows(a, b))
+        return complex(row.real + 0.0, row.imag + 0.0)
     rows = vdot_rows(a, b).reshape(-1)
     return complex(math.fsum(rows.real.tolist()), math.fsum(rows.imag.tolist()))
 
@@ -213,13 +229,40 @@ COHERENT_STATES = 8
 
 @lru_cache(maxsize=COHERENT_STATES, typed=True)
 def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple) -> np.ndarray:
-    """The amplitude recurrence of coherent_amplitudes.  ``signs``, the
-    signs of alpha's parts, only keys the cache: 0.0 and -0.0 are equal keys
-    whose amplitudes differ in the sign of their zeros."""
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    """The amplitude recurrence of coherent_amplitudes, amp[0] =
+    e^{-|alpha|^2/2} and amp[n] = amp[n-1] * alpha / sqrt(n), with the bits
+    of that step loop.  ``signs``, the signs of alpha's parts, only keys the
+    cache: 0.0 and -0.0 are equal keys whose amplitudes differ in the sign
+    of their zeros.
+
+    One complex np.multiply.accumulate over [amp[0], alpha, 1/sqrt(1) - 0j,
+    alpha, 1/sqrt(2) - 0j, ...], read at the even indices, rounds twice per
+    step as the loop does: numpy divides a complex scalar by sqrt(n) as a
+    product with 1.0/sqrt(n) (Smith's method), and the -0j factor gives
+    the loop's signed zeros.  Where a part of amp[n-1] * alpha is not zero
+    but its product with 1/sqrt(n) underflows to zero, the accumulate takes
+    that zero's sign from the other part, the division from the part itself;
+    from the first such step the loop takes over.
+    """
+    steps = np.empty(2 * dim - 1, dtype=np.complex128)
+    steps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    steps[1::2] = alpha
+    recips = steps[2::2]
+    np.divide(1.0, ladder(dim), out=recips.real)
+    recips.imag = -0.0
+    np.multiply.accumulate(steps, out=steps)
+    amp = steps[::2]
+    # with no part lost, the zero parts are amp[0]'s imaginary one or, for a
+    # real or imaginary alpha, one part of every entry: a part of amp[n] is
+    # zero only where that of amp[n-1] * alpha is or where it underflowed
+    parts = steps.view(np.float64)
+    structural = 1 if alpha.real and alpha.imag else 2 * dim - 1
+    if len(parts) - np.count_nonzero(parts) != structural:
+        pairs = parts[2:].reshape(-1, 2, 2)  # [n - 1, (amp[n-1] * alpha, amp[n]), part]
+        lost = np.flatnonzero(((pairs[:, 1] == 0) & (pairs[:, 0] != 0)).any(axis=1))
+        for n in range(lost[0] + 1 if len(lost) else dim, dim):
+            amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    amp = amp.copy()
     amp.flags.writeable = False
     return amp
 
@@ -234,9 +277,11 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     the norm and reaches 0 at |a| of about 38.6.  This is checked first,
     then dim >= 1 (ValueError).
 
-    The amplitudes come from one recurrence per (alpha, dim), kept in a
-    bounded cache (COHERENT_STATES entries) and shared, read-only, by every
-    state built on them; an alpha that cannot be hashed raises TypeError.
+    The amplitudes come from one recurrence per (alpha, dim), one
+    accumulate with the bits of the step loop (_coherent_amplitudes), kept
+    in a bounded cache (COHERENT_STATES entries) and shared, read-only, by
+    every state built on them; an alpha that cannot be hashed raises
+    TypeError.
     """
     vacuum_amp = math.exp(-abs(alpha) ** 2 / 2.0)
     if vacuum_amp < sys.float_info.min:
@@ -297,12 +342,14 @@ def normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
-    """Normalized state of one measurement branch and its probability |amp|^2
-    (normalize_rows of one row).  EmptyBranchError for an empty branch."""
-    unit, prob, empty = normalize_rows(amp)
-    if empty:
+    """Normalized state of one measurement branch and its probability |amp|^2:
+    normalize_rows of one row, bit for bit, NaN rows too, in Python floats.
+    EmptyBranchError for an empty branch."""
+    prob = float(vdot_rows(amp, amp).real)
+    if prob < sys.float_info.min:
         raise EmptyBranchError(f"branch probability {prob:.3g} is below the normal range")
-    return FockVector(unit), float(prob)
+    # normalize_rows divides by sqrt(max(prob, that double)), here sqrt(prob)
+    return FockVector(amp / math.sqrt(prob)), prob
 
 
 def expm_apply(m: OperatorMatrix, psi: FockVector, tol: float = DEFAULT_EXPM_TOL) -> FockVector:

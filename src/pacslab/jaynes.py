@@ -10,8 +10,10 @@ re-expansion over photon-added coherent states is reconstructed here under
 selectable conventions.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -275,18 +277,23 @@ def jc_overlap_curve(
     whose lower-level branch is empty (see fock.normalize) are emitted with
     null overlaps and ground_prob 0.
 
-    Every beta_t is checked first, as jc_evolve_exact checks it; the first
-    failing one in grid order raises.  The coherent state and the targets
-    are built once; the lower-level branch comes from the same Rabi helper
-    as jc_evolve_exact, CURVE_BLOCK grid rows at a time.  Each block is
-    normalized and overlapped with every target by the row-wise fock
+    A non-finite alpha raises ValueError before any work, as DcParams does;
+    then every beta_t is checked, as jc_evolve_exact checks it, and the
+    first failing one in grid order raises.  The coherent state and the
+    targets are built once; the lower-level branch comes from the same Rabi
+    helper as jc_evolve_exact, CURVE_BLOCK grid rows at a time.  Each block
+    is normalized and overlapped with every target by the row-wise fock
     reductions, which sum each row as its one-row evaluation does, so every
-    point equals its one-row evaluation.
+    point equals its one-row evaluation.  A block with no empty row makes
+    its points in C: the moduli by np.hypot, which rounds as Python's
+    complex abs does, and the squares by one elementwise product.
     """
     beta_t_grid = list(beta_t_grid)
     m_list = list(m_list)
     if not beta_t_grid or not m_list:
         raise ValueError("beta_t grid and m list must be nonempty")
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"seed amplitude alpha must be finite, got {alpha}")
     if dim is None:
         dim = default_dim(alpha)
     targets = np.array(
@@ -307,11 +314,23 @@ def jc_overlap_curve(
     # CurvePoint(...) runs the NamedTuple's Python-level __new__; this builds
     # the same instance in C
     new_point = tuple.__new__
+    width = len(m_list)
     points = []
     for start in range(0, len(beta_t_grid), CURVE_BLOCK):
         block = beta_t_grid[start : start + CURVE_BLOCK]
         conds, probs, empty = normalize_rows(_lower_branch(c, block))
         overlaps = vdot_rows(targets, conds[:, None, :])  # [row, m]
+        if not empty.any():
+            mods = np.hypot(overlaps.real, overlaps.imag)  # np.abs rounds differently
+            fields = zip(
+                chain.from_iterable(map(repeat, block, repeat(width))),
+                m_list * len(block),
+                mods.ravel().tolist(),
+                (mods * mods).ravel().tolist(),
+                chain.from_iterable(map(repeat, probs.tolist(), repeat(width))),
+            )
+            points.extend(map(new_point, repeat(CurvePoint), fields))
+            continue
         rows = zip(block, probs.tolist(), empty.tolist(), overlaps.tolist())
         for bt, prob, blank, row in rows:
             if blank:

@@ -413,6 +413,8 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         (["--scenario", "dc-overlap", "--r", "0:800:3"], "overflow"),
         (["--scenario", "dc-pm", "--r", "1e308"], "overflow"),
         (["--scenario", "dc-overlap", "--alpha", "1e200"], "overflow"),
+        (["--scenario", "jc-curve", "--alpha", "1e200"],
+         "default truncation for seed amplitude (1e+200+0j): |alpha|^2 overflows the double range\n"),
         # a seed whose vacuum amplitude underflows, caught before the
         # 1e8 x 24 grid is allocated
         (["--scenario", "dc-ideal-check", "--alpha", "1e4", "--r", "0"],

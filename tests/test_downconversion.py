@@ -374,12 +374,20 @@ def test_params_validation():
         lambda a: fock.default_dim(a),
         lambda a: dc.spacs_overlap_numeric(a, 0.5),
         lambda a: jaynes.jc_overlap_curve(a, [0.5], [1]),
+        # a forced dim once skipped default_dim's check: a NaN point came back
+        # after two "invalid value encountered in divide" warnings
+        lambda a: jaynes.jc_overlap_curve(a, [0.5], [1], dim=32),
     )
     for alpha in (math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, -math.inf)):
         text = f"seed amplitude alpha must be finite, got {alpha}"
         for call in takes_alpha:
             with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
                 call(alpha)
+    # a finite alpha whose |alpha|^2 overflows sizes no default truncation:
+    # int(ceil(inf)) once raised an OverflowError that named nothing
+    for call in takes_alpha[1:4]:
+        with pytest.raises(NumericalFailureError, match=r"1e\+200: \|alpha\|\^2 overflows"):
+            call(1e200)
 
 
 def _closed_reference(p, norm_tol=dc.DEFAULT_NORM_TOL):

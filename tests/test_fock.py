@@ -102,6 +102,29 @@ def _coherent_reference(alpha, dim):
     return amp
 
 
+def _coherent_cases(seed, count):
+    """(alpha, dim) where the accumulate of coherent_amplitudes meets the
+    underflow: tiny alphas, lopsided ones, pure imaginary and real
+    alphas, |alpha| up to 37.5, dims up to 1,300; then random ones."""
+    cases = [
+        (1e-300, 2), (1e-300j, 3), (-1e-150 + 1e-150j, 5), (1e-3, 300), (1e-3 - 1e-3j, 700),
+        (1 + 1e-200j, 300), (1e-200 + 1j, 300), (-1e-200 + 1j, 300), (0.6 - 1e-300j, 150),
+        # parts so far apart that one underflows while |amp| is above 1e-200
+        (-3.6e-69 + 0.058j, 1279), (4.4e-172 - 0.64j, 1199),
+        (3j, 33), (-3j, 1300), (complex(-0.0, 2.5), 600), (complex(2.5, -0.0), 600),
+        (0.8, 1300), (-0.8, 460), (37.5, 1300), (-37.5j, 1300), (26.5 + 26.5j, 1300),
+        (complex(-0.0, 0.0), 40), (0.0, 1300),
+    ]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = 10.0 ** rng.uniform(-300.0, math.log10(37.5))
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        lopsided = 10.0 ** -rng.uniform(0.0, 300.0) if rng.random() < 0.3 else 1.0
+        alpha = complex(size * math.cos(turn), size * math.sin(turn) * lopsided)
+        cases.append((alpha if rng.random() < 0.5 else alpha * 1j, int(rng.integers(1, 1301))))
+    return cases
+
+
 def test_cached_coherent_amplitudes_equal_the_loop_bitwise():
     # real, complex and numpy-scalar alphas, signed zeros among them (equal
     # as keys, different in the bytes of their amplitudes), each built and
@@ -128,6 +151,13 @@ def test_cached_coherent_amplitudes_equal_the_loop_bitwise():
     # an alpha that cannot be hashed raises the cache's TypeError
     with pytest.raises(TypeError, match="unhashable"):
         fock.coherent_state(np.array(0.7 - 0.2j), 40)
+    # from the first step whose product with 1/sqrt(n) loses a nonzero part
+    # to underflow, the step loop takes over: the bytes stay the loop's, the
+    # signs of underflowed zeros included, and a cached read is the same
+    for alpha, dim in _coherent_cases(34, 600):
+        expected = _coherent_reference(alpha, dim).tobytes()
+        for _ in range(2):
+            assert fock.coherent_amplitudes(alpha, dim).tobytes() == expected, (alpha, dim)
 
 
 def test_cached_coherent_amplitudes_keep_every_check():
@@ -309,6 +339,30 @@ def test_vdot_adds_its_rows_exactly():
         for one_a, one_b in ((a[0], b[0]), (a[:, 1], b[:, 2]), (a.ravel(), b.ravel())):
             one = np.complex128(fock.vdot(one_a, one_b))
             assert one.tobytes() == np.vdot(one_a, one_b).tobytes(), shape
+    # a 1-d row skips fsum but returns each part as fsum returns one value,
+    # as the grid path returns a grid of one row: -0.0 turns to 0.0, NaN and
+    # inf pass.  OpenBLAS's zdotc gives no -0.0, so the row sum is stood in
+    # for
+    special = (-0.0, 0.0, 2.5e-320, -1.5, math.nan, math.inf, -math.inf)
+    row = np.ones(3, dtype=np.complex128)
+    for re_part in special:
+        for im_part in special:
+            total = complex(re_part, im_part)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fock, "vdot_rows", lambda a, b: np.full(a.shape[:-1], total))
+                one, grid = fock.vdot(row, row), fock.vdot(row[None], row[None])
+            assert type(one) is complex, total
+            for got in (one, grid):
+                assert got.real.hex() == math.fsum([re_part]).hex(), total
+                assert got.imag.hex() == math.fsum([im_part]).hex(), total
+    # and rows whose sums are NaN and inf in fact, against fsum of their sum
+    with np.errstate(invalid="ignore", over="ignore"):
+        for amp in ([math.nan, 1.0], [math.inf, 1.0], [1e300, 1e300], [complex(1, math.inf)]):
+            amp = np.array(amp, dtype=np.complex128)
+            plain = fock.vdot_rows(amp, amp)
+            got = fock.vdot(amp, amp)
+            assert got.real.hex() == math.fsum([plain.real]).hex(), amp
+            assert got.imag.hex() == math.fsum([plain.imag]).hex(), amp
 
 
 def test_vdot_rows_equals_per_row_vdot_bitwise_on_other_blas_kernels():
@@ -724,6 +778,31 @@ def test_normalize_rejects_empty_and_subnormal_branches():
         assert unit.tobytes() == vec.amp.tobytes() == (row / math.sqrt(plain_prob)).tobytes()
 
 
+def test_normalize_equals_normalize_rows_on_one_branch_bitwise():
+    # normalize works in Python floats on one branch; its state, probability
+    # and empty rule are those of normalize_rows on that row, strided columns,
+    # signed zeros, rows at the edges of the range and a NaN row included
+    rng = np.random.default_rng(31)
+    grid = rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6))
+    tiny = math.sqrt(sys.float_info.min)
+    rows = [grid[:, 2], grid[7], np.array([complex(-0.0, 3.0), complex(0.0, -0.0), -2.0])]
+    rows += [10.0 ** e * (rng.normal(size=9) + 1j * rng.normal(size=9)) for e in (-150, 0, 150)]
+    rows += [np.array([tiny * 1.25, 0.0]), np.array([tiny, 0.0]), np.zeros(4, complex)]
+    rows += [np.array([1e-160, 1e-161j]), np.array([math.nan, 1.0]), np.array([1.0, math.nan])]
+    for row in rows:
+        with np.errstate(invalid="ignore"):  # a NaN row divides NaN, in both
+            unit, prob, empty = fock.normalize_rows(row)
+            if empty:
+                text = f"^branch probability {prob:.3g} is below the normal range$"
+                with pytest.raises(EmptyBranchError, match=text):
+                    fock.normalize(row)
+                continue
+            vec, one_prob = fock.normalize(row)
+        assert type(one_prob) is float
+        assert np.float64(one_prob).tobytes() == prob.tobytes(), row
+        assert vec.amp.tobytes() == fock.FockVector(unit).amp.tobytes(), row
+
+
 def test_fidelity_of_two_mode_states():
     rng = np.random.default_rng(3)
     x = fock.TwoModeState(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
@@ -775,6 +854,14 @@ def test_project_probabilities_complete_and_reembed():
 def test_default_dim_floor_and_growth():
     assert fock.default_dim(0.0) == 32
     assert fock.default_dim(0.8) == 32
+    # up to |alpha| of about 1.3e154 the size is a finite double; beyond it
+    # |alpha|^2 overflows, which int(ceil(inf)) once reported as an
+    # OverflowError naming nothing; so did the complex abs of parts near 1e308
+    assert fock.default_dim(1.3e154) > 1e308
+    for alpha in (1.35e154, -1e200, 1e200j, 1e300 + 1e300j, complex(1.5e308, -1.5e308)):
+        text = f"default truncation for seed amplitude {alpha}: |alpha|^2 overflows"
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(text)}"):
+            fock.default_dim(alpha)
     assert fock.default_dim(1.5) >= 31
     dim = fock.default_dim(1.5)
     assert fock.coherent_tail_mass(fock.coherent_state(1.5, dim).amp, 1.5, dim) < 1e-14

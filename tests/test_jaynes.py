@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -229,6 +230,68 @@ def test_overlap_curve_equals_per_point_evaluation(alpha, dim):
     assert curve == _curve_per_point(alpha, grid, ms, dim)
     # equal tuples are not enough: checks.curve_rows reads each point's _asdict()
     assert all(type(point) is CurvePoint for point in curve)
+
+
+def _curve_rows_reference(alpha, grid, ms, dim):
+    """The overlap curve as each block's points were made one row at a time:
+    Python's complex abs of every overlap and its square."""
+    targets = np.array([pacs_state(PacsSpec(alpha, m), dim, normalized=True).amp for m in ms])
+    c = fock.coherent_state(alpha, dim).amp
+    points = []
+    for start in range(0, len(grid), CURVE_BLOCK):
+        block = grid[start : start + CURVE_BLOCK]
+        conds, probs, empty = fock.normalize_rows(jaynes._lower_branch(c, block))
+        overlaps = fock.vdot_rows(targets, conds[:, None, :])
+        rows = zip(block, probs.tolist(), empty.tolist(), overlaps.tolist())
+        for bt, prob, blank, row in rows:
+            if blank:
+                points.extend(CurvePoint(bt, m, None, None, 0.0) for m in ms)
+                continue
+            for m, ov in zip(ms, row):
+                points.append(CurvePoint(bt, m, abs(ov), abs(ov) * abs(ov), prob))
+    return points
+
+
+def _bits(points):
+    """Each field's type and, for a float, its bytes."""
+    return [
+        [(type(v), struct.pack("<d", v) if type(v) is float else v) for v in point]
+        for point in points
+    ]
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.8, 32), (0.6 - 0.9j, 48), (-1.2j, 40)])
+def test_overlap_curve_equals_the_per_row_loop_bitwise(alpha, dim):
+    # blocks with no empty row make their points in C; the second block
+    # holds an empty row (beta_t 0) inside it and keeps the per-row loop;
+    # ints, numpy floats and Python floats stay as the grid gives them
+    grid = [*np.linspace(1e-3, 40.0, CURVE_BLOCK), 0.5, 0.0, 2, *np.linspace(1.0, 9.0, 70)]
+    grid = [float(bt) if i % 3 else bt for i, bt in enumerate(grid)]
+    ms = [2, 1, 3]
+    assert type(grid[CURVE_BLOCK + 2]) is int and grid[CURVE_BLOCK + 1] == 0.0
+    curve = jc_overlap_curve(alpha, grid, ms, dim=dim)
+    assert _bits(curve) == _bits(_curve_rows_reference(alpha, grid, ms, dim))
+    assert all(type(point) is CurvePoint for point in curve)
+
+
+def test_hypot_rounds_as_pythons_complex_abs():
+    # the curve takes its moduli from np.hypot over the parts: bit for bit
+    # Python's complex abs, over magnitudes, signed zeros and non-finite parts
+    rng = np.random.default_rng(6)
+    parts = rng.normal(size=(2, 20000)) * 10.0 ** rng.uniform(-320.0, 300.0, (2, 20000))
+    special = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+    re_parts = np.concatenate([parts[0], np.repeat(special, len(special))])
+    im_parts = np.concatenate([parts[1], np.tile(special, len(special))])
+    with np.errstate(over="ignore"):
+        got = np.hypot(re_parts, im_parts).tolist()
+    for x, y, mod in zip(re_parts.tolist(), im_parts.tolist(), got):
+        try:
+            want = abs(complex(x, y))
+        except OverflowError:  # Python raises where hypot overflows to inf
+            want = math.inf
+        assert struct.pack("<d", mod) == struct.pack("<d", want) or (
+            math.isnan(mod) and math.isnan(want)
+        ), (x, y)
 
 
 def test_overlap_curve_builds_each_state_once(monkeypatch):
