@@ -240,9 +240,10 @@ def _coherent_amplitudes(alpha: complex, dim: int, signs: tuple) -> np.ndarray:
     step as the loop does: numpy divides a complex scalar by sqrt(n) as a
     product with 1.0/sqrt(n) (Smith's method), and the -0j factor gives
     the loop's signed zeros.  Where a part of amp[n-1] * alpha is not zero
-    but its product with 1/sqrt(n) underflows to zero, the accumulate takes
-    that zero's sign from the other part, the division from the part itself;
-    from the first such step the loop takes over.
+    but its product with 1/sqrt(n) underflows to zero, the division keeps
+    that part's sign, while the accumulate adds a signed zero from the
+    other part to it, which can turn -0.0 into 0.0; from the first such
+    step the loop takes over.
     """
     steps = np.empty(2 * dim - 1, dtype=np.complex128)
     steps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
