@@ -327,27 +327,32 @@ def fidelity(psi: FockVector | TwoModeState, phi: FockVector | TwoModeState) -> 
 
 def normalize_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row (last axis) of a stack of measurement branches normalized,
-    its probability |row|^2, and whether the branch is empty; a 1-d ``amps``
-    is one branch and gives scalars.
+    its probability |row|^2, and whether the branch is empty (_empty); a
+    1-d ``amps`` is one branch and gives scalars.
 
-    The one place that decides a branch is empty: when |row|^2 is below the
-    smallest normal double, where the normalized state loses digits.  An
-    empty row is not normalized: it is divided by sqrt of that double, which
-    keeps it finite.  |row|^2 is taken from ``amps`` as given, strided views
-    too.
+    An empty row is not normalized: it is divided by sqrt of the smallest
+    normal double, which keeps it finite.  |row|^2 is taken from ``amps`` as
+    given, strided views too.
     """
     probs = vdot_rows(amps, amps).real
     # complex division by the real sqrt, as one branch was always divided
     roots = np.sqrt(np.maximum(probs, sys.float_info.min))
-    return amps / roots[..., None], probs, probs < sys.float_info.min
+    return amps / roots[..., None], probs, _empty(probs)
+
+
+def _empty(probs):
+    """Whether a branch of probability |row|^2 is empty, elementwise: below
+    the smallest normal double, where the normalized state loses digits.
+    The one rule normalize_rows and normalize share; NaN is not empty."""
+    return probs < sys.float_info.min
 
 
 def normalize(amp: np.ndarray) -> tuple[FockVector, float]:
     """Normalized state of one measurement branch and its probability |amp|^2:
     normalize_rows of one row, bit for bit, NaN rows too, in Python floats.
-    EmptyBranchError for an empty branch."""
+    EmptyBranchError for an empty branch (_empty)."""
     prob = float(vdot_rows(amp, amp).real)
-    if prob < sys.float_info.min:
+    if _empty(prob):
         raise EmptyBranchError(f"branch probability {prob:.3g} is below the normal range")
     # normalize_rows divides by sqrt(max(prob, that double)), here sqrt(prob)
     return FockVector(amp / math.sqrt(prob)), prob

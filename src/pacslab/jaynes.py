@@ -284,9 +284,10 @@ def jc_overlap_curve(
     helper as jc_evolve_exact, CURVE_BLOCK grid rows at a time.  Each block
     is normalized and overlapped with every target by the row-wise fock
     reductions, which sum each row as its one-row evaluation does, so every
-    point equals its one-row evaluation.  A block with no empty row makes
-    its points in C: the moduli by np.hypot, which rounds as Python's
-    complex abs does, and the squares by one elementwise product.
+    point equals its one-row evaluation.  Each block makes its points in C:
+    the moduli by np.hypot, which rounds as Python's complex abs does, and
+    the squares by one elementwise product; an empty row's points, finite
+    but meaningless, are then replaced by its null ones.
     """
     beta_t_grid = list(beta_t_grid)
     m_list = list(m_list)
@@ -320,23 +321,17 @@ def jc_overlap_curve(
         block = beta_t_grid[start : start + CURVE_BLOCK]
         conds, probs, empty = normalize_rows(_lower_branch(c, block))
         overlaps = vdot_rows(targets, conds[:, None, :])  # [row, m]
-        if not empty.any():
-            mods = np.hypot(overlaps.real, overlaps.imag)  # np.abs rounds differently
-            fields = zip(
-                chain.from_iterable(map(repeat, block, repeat(width))),
-                m_list * len(block),
-                mods.ravel().tolist(),
-                (mods * mods).ravel().tolist(),
-                chain.from_iterable(map(repeat, probs.tolist(), repeat(width))),
-            )
-            points.extend(map(new_point, repeat(CurvePoint), fields))
-            continue
-        rows = zip(block, probs.tolist(), empty.tolist(), overlaps.tolist())
-        for bt, prob, blank, row in rows:
-            if blank:
-                points.extend(CurvePoint(bt, m, None, None, 0.0) for m in m_list)
-                continue
-            for m, ov in zip(m_list, row):
-                mod = abs(ov)  # Python's complex abs: np.abs rounds differently
-                points.append(new_point(CurvePoint, (bt, m, mod, mod * mod, prob)))
+        mods = np.hypot(overlaps.real, overlaps.imag)  # np.abs rounds differently
+        fields = zip(
+            chain.from_iterable(map(repeat, block, repeat(width))),
+            m_list * len(block),
+            mods.ravel().tolist(),
+            (mods * mods).ravel().tolist(),
+            chain.from_iterable(map(repeat, probs.tolist(), repeat(width))),
+        )
+        first = len(points)
+        points.extend(map(new_point, repeat(CurvePoint), fields))
+        for i in np.flatnonzero(empty).tolist():
+            at = first + i * width
+            points[at : at + width] = [CurvePoint(block[i], m, None, None, 0.0) for m in m_list]
     return points

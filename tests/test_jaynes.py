@@ -262,9 +262,9 @@ def _bits(points):
 
 @pytest.mark.parametrize("alpha, dim", [(0.8, 32), (0.6 - 0.9j, 48), (-1.2j, 40)])
 def test_overlap_curve_equals_the_per_row_loop_bitwise(alpha, dim):
-    # blocks with no empty row make their points in C; the second block
-    # holds an empty row (beta_t 0) inside it and keeps the per-row loop;
-    # ints, numpy floats and Python floats stay as the grid gives them
+    # every block makes its points in C; the second block holds an empty
+    # row (beta_t 0) inside it, whose points must come out null; ints,
+    # numpy floats and Python floats stay as the grid gives them
     grid = [*np.linspace(1e-3, 40.0, CURVE_BLOCK), 0.5, 0.0, 2, *np.linspace(1.0, 9.0, 70)]
     grid = [float(bt) if i % 3 else bt for i, bt in enumerate(grid)]
     ms = [2, 1, 3]

@@ -9,10 +9,11 @@ For each seed the two checkouts each run
     python3 perfbench/run.py --workload W --seed S --seconds 36 --trace 0
 
 from their own root, the parent first on odd seeds and the change first on
-even ones; --seconds defaults to the parent's BENCHMARK.json run_seconds.
+even ones; the run length is the parent's BENCHMARK.json run_seconds.
 With --setup-rounds N it first times N alternating
 ``perfbench/worker.py --setup-only`` starts of each checkout, from process
-start to the worker's ``ready`` line, the order reversed every other round.
+start to the worker's ``ready`` line, the order reversed every other round,
+through that checkout's own run.py (child_env and run_worker).
 
 The log holds the commits, every run's metrics, each side's median and
 q1-q3 (inclusive quartiles) per metric, the pairs the change wins and the
@@ -24,8 +25,8 @@ run.py itself writes.
 
 import argparse
 import hashlib
+import importlib.util
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -118,38 +119,25 @@ def summarize(runs, spec):
     return summary
 
 
-def child_env(root):
-    """run.py's worker environment: pacslab from src/, BLAS threads at nproc."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src")
-    nproc = str(len(os.sched_getaffinity(0)))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = nproc
-    return env
-
-
-def setup_time(root, workload, seed):
-    """Seconds from the start of a --setup-only worker to its ready line."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", "0", "--setup-only"],
-        cwd=root, env=child_env(root), stdout=subprocess.PIPE, text=True,
-    )
-    first = proc.stdout.readline()
-    ready = time.perf_counter() - t0
-    proc.stdout.read()
-    proc.stdout.close()
-    if proc.wait() != 0 or first.strip() != "ready":
-        raise RuntimeError(f"setup-only worker in {root} exited {proc.returncode}")
-    return ready
+def load_run(root, tree):
+    """The checkout's own perfbench/run.py as a module, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"run_{tree}", root / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def setup_probe(roots, workload, rounds):
+    """Seconds from the start of each --setup-only worker to its ready line,
+    timed by each checkout's run.run_worker in its run.child_env."""
+    runs = {tree: load_run(roots[tree], tree) for tree in TREES}
+    envs = {tree: run.child_env() for tree, run in runs.items()}
     values = {tree: [] for tree in TREES}
     for i in range(rounds):
         for tree in TREES if i % 2 == 0 else TREES[::-1]:
-            values[tree].append(round(setup_time(roots[tree], workload, i), 4))
+            args = ["--workload", workload, "--seed", str(i), "--seconds", "0", "--setup-only"]
+            ready, _ = runs[tree].run_worker(args, envs[tree], time.perf_counter() + 120.0)
+            values[tree].append(round(ready, 4))
     out = {}
     for tree in TREES:
         median, q1, q3 = quartiles(values[tree])
@@ -164,14 +152,13 @@ def main():
     ap.add_argument("--change", required=True, type=Path, help="root of the changed checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=seed_list, help="e.g. 41-50 or 1,3,5")
-    ap.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds")
     ap.add_argument("--setup-rounds", type=int, default=0)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args()
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     log = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     log["commits"] = {tree: describe(root) for tree, root in roots.items()}
     log.setdefault("pairs", {})
