@@ -8,10 +8,16 @@ output.
 """
 
 import cmath
+import gc
 import math
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
+
+if __name__ == "__main__":
+    # a CLI process: no cyclic collections while numpy and pacslab import
+    # (process_main turns the collector back on for the run)
+    gc.disable()
 
 import numpy as np
 
@@ -426,5 +432,26 @@ def main(argv=None) -> int:
         return 4
 
 
+def process_main() -> int:
+    """The process entry of ``python -m pacslab.cli`` and the ``pacslab``
+    script: main() on sys.argv, with the cycle collector kept off the
+    objects the imports made.
+
+    Under ``python -m`` the collector is off from before numpy imports.
+    Here everything imported so far is frozen (gc.freeze), the collector is
+    turned on for the run, and what exists when main() returns is frozen
+    too, so the collections at interpreter exit walk nothing.  Frozen
+    objects stay in memory until exit.  The ``pacslab`` script's wrapper
+    imports this module before it calls anything, so it gets the freezes
+    but not the import-time off switch.  main(argv) is the in-process API
+    and leaves the collector as it finds it.
+    """
+    gc.freeze()
+    gc.enable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

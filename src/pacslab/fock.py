@@ -158,8 +158,10 @@ def vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     norm, overlap and moment, one row or a stack of rows at a time.
 
     np.vecdot calls the BLAS zdotc per row that np.vdot calls on a whole
-    array, so each row sums bit for bit as np.vdot sums it, strided views too.
-    Unlike np.vdot, it reports overflow and invalid values as numpy warnings.
+    array, so each row of finite parts sums bit for bit as np.vdot sums it,
+    strided views too.  A row with an infinite part can differ: for
+    [1 + inf j] the real part is inf here and NaN in np.vdot.  Unlike
+    np.vdot, it reports overflow and invalid values as numpy warnings.
     """
     return np.vecdot(a, b)
 
@@ -168,8 +170,9 @@ def vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """sum conj(a) b over two arrays of one shape: vdot_rows over the last
     axis, the rows' real and imaginary parts each added exactly by fsum.
 
-    A 1-d array is one row and sums bit for bit as np.vdot sums it, strided
-    columns too; its parts are returned as fsum returns one value, with
+    A 1-d array is one row and sums as vdot_rows sums it: bit for bit as
+    np.vdot sums it, strided columns too, unless a part is infinite (see
+    vdot_rows).  Its parts are returned as fsum returns one value, with
     + 0.0, which turns -0.0 into 0.0 and passes NaN and inf.  A grid goes to
     BLAS a row at a time, since OpenBLAS splits a zdotc over about 10,000
     entries by its thread count.  fsum raises OverflowError when finite rows
@@ -276,7 +279,10 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     Raises NumericalFailureError when e^{-|a|^2/2} underflows the normal
     double range (|a| above about 37.6): there it keeps too few digits for
     the norm and reaches 0 at |a| of about 38.6.  This is checked first,
-    then dim >= 1 (ValueError).
+    then dim >= 1 (ValueError), then that the recurrence's 2 dim - 1
+    complex steps fit in the largest array numpy can describe, sys.maxsize
+    bytes (MemoryError, as a failed allocation of a smaller one raises;
+    dim above about 2.9e17).
 
     The amplitudes come from one recurrence per (alpha, dim), one
     accumulate with the bits of the step loop (_coherent_amplitudes), kept
@@ -292,6 +298,11 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
         )
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if 16 * (2 * dim - 1) > sys.maxsize:
+        raise MemoryError(
+            f"coherent amplitudes at dim={dim}: {2 * dim - 1} complex steps "
+            "exceed the largest numpy array"
+        )
     signs = (math.copysign(1.0, alpha.real), math.copysign(1.0, alpha.imag))
     return _coherent_amplitudes(alpha, dim, signs)
 

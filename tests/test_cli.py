@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -670,16 +672,84 @@ def test_verify_json_output(capsys):
     }
 
 
+def _fresh_env(**environ):
+    """This environment with ``environ`` added, its PYTHONPATH led by this
+    checkout's pacslab."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def _fresh_python(code, *args, **environ):
     """stdout lines of `python -c code args` in a fresh interpreter that
     imports this checkout's pacslab, with ``environ`` added to its
     environment."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=_fresh_env(**environ), capture_output=True,
+        text=True, check=True,
     )
     return out.stdout.splitlines()
+
+
+def test_process_entry_writes_the_in_process_records(tmp_path, capsys):
+    # `python -m pacslab.cli` runs the __main__ guard, which no in-process
+    # test reaches
+    args = ["--scenario", "dc-pm", "--format", "csv"]
+    assert cli.main(args + ["--out", str(tmp_path / "main.csv")]) == 0
+    summary = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pacslab.cli", *args, "--out", str(tmp_path / "process.csv")],
+        env=_fresh_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (summary.out, summary.err)
+    assert summary.out.startswith("dc-pm: points=11 max_oracle_deviation=")
+    assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_process_entry_manages_the_collector():
+    # as `python -m` runs it: the collector is off while numpy imports, on
+    # again for the run, and the imports' objects and the run's are frozen
+    code = (
+        "import gc, runpy, sys\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print('numpy imports with the collector on:', gc.isenabled())\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "sys.argv = ['pacslab', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('pacslab.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    lines = _fresh_python(code)
+    assert lines[0] == "numpy imports with the collector on: False"
+    assert lines[-2:] == ["exit 0", "True True"]
+
+
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path):
+    # main(argv) is the in-process API: pytest and other library callers
+    # keep their collector state and an empty permanent generation
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            cli.main(["--scenario", "dc-pm", "--format", "csv", "--out", str(tmp_path / "r.csv")])
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_script_entry_is_the_process_entry():
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    target = re.search(
+        r'^\[project\.scripts\]\npacslab = "([\w.]+):(\w+)"$',
+        pyproject.read_text(encoding="utf-8"), re.MULTILINE,
+    )
+    assert target is not None and target[1] == "pacslab.cli"
+    assert callable(getattr(cli, target[2])) and getattr(cli, target[2]) is cli.process_main
 
 
 def test_cli_import_loads_no_scipy():
@@ -802,6 +872,9 @@ def _records_physical(text: str, fmt: str) -> bool:
           "--beta-t", "1"], None)
 @example(["--scenario", "dc-ideal-check", "--format", "csv", "--r", "1", "--dim-b", "450",
           "--m-list", "400"], None)
+# truncations past the largest array numpy can describe
+@example(["--scenario", "dc-pm", "--format", "csv", "--dim-a", "300000000000000000"], None)
+@example(["--scenario", "dc-pm", "--format", "csv", "--dim-b", "100000000000000000000"], None)
 def test_cli_total(args, config):
     fmt = args[args.index("--format") + 1]
     with tempfile.TemporaryDirectory() as td:

@@ -92,6 +92,30 @@ def test_coherent_state_underflow_raises():
     assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_coherent_amplitudes_past_numpys_largest_array_raise_memory_error():
+    # numpy refuses an array of more than sys.maxsize bytes with a ValueError
+    # ("array is too big", "Maximum allowed dimension exceeded"); the
+    # recurrence's 2 dim - 1 complex steps pass that at dim = 2**58 + 1, and
+    # the error is raised in its place, as a failed allocation would raise
+    largest = 2**58
+    with pytest.raises(ValueError):
+        np.empty(2 * (largest + 1) - 1, dtype=np.complex128)
+    with pytest.raises(MemoryError, match="^Unable to allocate"):
+        fock.coherent_amplitudes(0.8, largest)
+    for dim in (largest + 1, 3 * 10**17, 10**20):
+        text = (
+            f"coherent amplitudes at dim={dim}: {2 * dim - 1} complex steps "
+            "exceed the largest numpy array"
+        )
+        for build in (fock.coherent_amplitudes, fock.coherent_state):
+            with pytest.raises(MemoryError) as exc:
+                build(0.8, dim)
+            assert type(exc.value) is MemoryError and str(exc.value) == text
+            # the underflow check still comes first
+            with pytest.raises(NumericalFailureError, match="underflows"):
+                build(40.0, dim)
+
+
 def _coherent_reference(alpha, dim):
     """coherent_state's amplitude loop as it ran on every call before its
     cache: numpy-scalar products, one per level."""

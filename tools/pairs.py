@@ -15,18 +15,21 @@ With --setup-rounds N it first times N alternating
 start to the worker's ``ready`` line, the order reversed every other round,
 through that checkout's own run.py (child_env and run_worker).
 
-The log holds the commits, every run's metrics, each side's median and
-q1-q3 (inclusive quartiles) per metric, the pairs the change wins and the
-relative change of the medians against the metric's bound.  An existing
---out file is updated: the workload's entries are replaced, other keys are
-kept.  Standard library only; nothing under perfbench/ is written but what
-run.py itself writes.
+The log holds the commits, whether the runs write bytecode (a CLI process
+that finds no cached bytecode compiles pacslab, about 14 ms of about
+120 ms, so cli logs compare only under one setting), every run's metrics,
+each side's median and q1-q3 (inclusive quartiles) per metric, the pairs
+the change wins and the relative change of the medians against the
+metric's bound.  An existing --out file is updated: the workload's entries
+are replaced, other keys are kept.  Standard library only; nothing under
+perfbench/ is written but what run.py itself writes.
 """
 
 import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -161,6 +164,10 @@ def main():
     seconds = spec["run_seconds"]
     log = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     log["commits"] = {tree: describe(root) for tree, root in roots.items()}
+    log["bytecode"] = {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "sys.dont_write_bytecode": sys.dont_write_bytecode,
+    }
     log.setdefault("pairs", {})
     if args.setup_rounds:
         log.setdefault("setup_probe", {})[args.workload] = setup_probe(
