@@ -749,7 +749,7 @@ def test_script_entry_is_the_process_entry():
         pyproject.read_text(encoding="utf-8"), re.MULTILINE,
     )
     assert target is not None and target[1] == "pacslab.cli"
-    assert callable(getattr(cli, target[2])) and getattr(cli, target[2]) is cli.process_main
+    assert getattr(cli, target[2]) is cli.process_main
 
 
 def test_cli_import_loads_no_scipy():
